@@ -16,7 +16,7 @@ import os
 import tempfile
 import threading
 import time
-from typing import Any, Dict
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -254,6 +254,36 @@ _SERVE_CLIENTS = 4
 _SERVE_REQUESTS = 64
 
 
+def _drive(
+    call: Callable[[np.ndarray], Any], samples: np.ndarray, clients: int, per_client: int
+) -> Tuple[float, List[Exception]]:
+    """Closed-loop load: ``clients`` threads released together, each
+    sending ``per_client`` single-sample requests through ``call``.
+
+    Returns the wall time until every client finished and the failure
+    that stopped each client that hit one.
+    """
+    failures: List[Exception] = []
+    barrier = threading.Barrier(clients + 1)
+
+    def client(index: int) -> None:
+        barrier.wait()
+        try:
+            for request in range(per_client):
+                call(samples[(index * per_client + request) % len(samples)][None])
+        except Exception as error:  # noqa: BLE001 - reported to the payload
+            failures.append(error)
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(clients)]
+    for thread in threads:
+        thread.start()
+    barrier.wait()
+    begin = time.perf_counter()
+    for thread in threads:
+        thread.join()
+    return time.perf_counter() - begin, failures
+
+
 def _serve_setup() -> Dict[str, Any]:
     rng = np.random.default_rng(0)
     weight = rng.standard_normal((256, 64)).astype(np.float32)  # repro: ignore[dtype-literal] -- fixed benchmark workload; baselines were recorded at float32
@@ -270,26 +300,13 @@ def _serve_payload(state) -> Dict[str, Any]:
     # every in-flight client is aboard (the tuned serving profile); the
     # measured quantity is scheduler coalesce/fan-out overhead.
     config = BatchingConfig(max_batch=_SERVE_CLIENTS, max_wait_ms=5.0)
-    samples = state["samples"]
     with MicroBatcher(state["batch_fn"], config) as batcher:
-        barrier = threading.Barrier(_SERVE_CLIENTS + 1)
-
-        def client(index: int) -> None:
-            barrier.wait()
-            for request in range(_SERVE_REQUESTS):
-                batcher.submit(samples[index * _SERVE_REQUESTS + request][None])
-
-        threads = [
-            threading.Thread(target=client, args=(i,)) for i in range(_SERVE_CLIENTS)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        begin = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - begin
+        elapsed, failures = _drive(
+            batcher.submit, state["samples"], _SERVE_CLIENTS, _SERVE_REQUESTS
+        )
         stats = batcher.stats()
+    if failures:
+        raise RuntimeError(f"micro-batcher failed a request: {failures[0]!r}")
     total = _SERVE_CLIENTS * _SERVE_REQUESTS
     return {
         "requests_per_s": round(total / elapsed, 1),
@@ -325,7 +342,8 @@ _FLEET_REQUESTS = 16  # per client
 _FLEET_KILL_AFTER = 10  # shard 0 dies mid-load (chaos re-arms per incarnation)
 
 
-def _fleet_setup() -> Dict[str, Any]:
+def _sealed_setup() -> Dict[str, Any]:
+    """A seeded 60%-sparse ResNet-18 ticket, sealed, plus 32 request samples."""
     backbone = resnet18(base_width=4, seed=0)
     mask = magnitude_mask(backbone, sparsity=0.6)
     ticket = Ticket(
@@ -337,7 +355,7 @@ def _fleet_setup() -> Dict[str, Any]:
         mask=mask,
         backbone_state=backbone.state_dict(),
     )
-    root = tempfile.mkdtemp(prefix="repro-bench-fleet-")
+    root = tempfile.mkdtemp(prefix="repro-bench-sealed-")
     path = export_artifact(ticket, os.path.join(root, "model.npz"), num_classes=5, seed=3)
     rng = np.random.default_rng(0)
     return {"artifact": path, "samples": rng.uniform(0.0, 1.0, size=(32, 3, 16, 16))}
@@ -355,31 +373,8 @@ def _fleet_payload(state) -> Dict[str, Any]:
         engine=EngineConfig(max_batch=_FLEET_CLIENTS, max_wait_ms=2.0),
         chaos=f"kill-shard:shard=0,after={_FLEET_KILL_AFTER}",
     )
-    samples = state["samples"]
-    failures: list = []
     with FleetSupervisor({"model": state["artifact"]}, config, default_model="model") as fleet:
-        barrier = threading.Barrier(_FLEET_CLIENTS + 1)
-
-        def client(index: int) -> None:
-            barrier.wait()
-            for request in range(_FLEET_REQUESTS):
-                sample = samples[(index * _FLEET_REQUESTS + request) % len(samples)]
-                try:
-                    fleet.predict(sample[None])
-                except Exception as error:  # noqa: BLE001 - any loss fails the spec
-                    failures.append(error)
-                    return
-
-        threads = [
-            threading.Thread(target=client, args=(i,)) for i in range(_FLEET_CLIENTS)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        begin = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - begin
+        elapsed, failures = _drive(fleet.predict, state["samples"], _FLEET_CLIENTS, _FLEET_REQUESTS)
         stats = fleet.stats()
     if failures:
         raise RuntimeError(f"fleet dropped accepted work under chaos: {failures[0]!r}")
@@ -590,7 +585,7 @@ register(
     BenchSpec(
         name="serve.fleet_resilience",
         title="Fleet failover: 2 shards, kill mid-load, zero loss (4x16 requests)",
-        setup=_fleet_setup,
+        setup=_sealed_setup,
         payload=_fleet_payload,
         metrics=("requests_per_s", "crashes", "rerouted"),
         # Process spawn + restart makes this seconds per repeat: full
@@ -616,20 +611,7 @@ _OBS_MAX_OVERHEAD_PCT = 2.0
 
 
 def _metrics_overhead_setup() -> Dict[str, Any]:
-    backbone = resnet18(base_width=4, seed=0)
-    mask = magnitude_mask(backbone, sparsity=0.6)
-    ticket = Ticket(
-        scheme="omp",
-        prior="adversarial",
-        model_name="resnet18",
-        base_width=4,
-        sparsity=mask.sparsity(),
-        mask=mask,
-        backbone_state=backbone.state_dict(),
-    )
-    root = tempfile.mkdtemp(prefix="repro-bench-obs-")
-    path = export_artifact(ticket, os.path.join(root, "model.npz"), num_classes=5, seed=3)
-    rng = np.random.default_rng(0)
+    sealed = _sealed_setup()
 
     def instrument_set(enabled: bool):
         """One request's worth of bound instruments, live or no-op.
@@ -654,8 +636,8 @@ def _metrics_overhead_setup() -> Dict[str, Any]:
         )
 
     return {
-        "artifact": path,
-        "samples": rng.uniform(0.0, 1.0, size=(_OBS_ROWS, 3, 16, 16)),
+        "artifact": sealed["artifact"],
+        "samples": sealed["samples"][:_OBS_ROWS],
         "live": instrument_set(enabled=True),
         "null": instrument_set(enabled=False),
     }
@@ -726,5 +708,69 @@ register(
         # but the contract assertion inside it is the actual gate; the
         # band only needs to catch gross record-path slowdowns.
         tolerance=1.0,
+    )
+)
+
+
+# ----------------------------------------------------------------------
+# serve.engine_batching — batched serving vs one request at a time
+# ----------------------------------------------------------------------
+_BATCH_CLIENTS = 8
+_BATCH_REQUESTS = 25  # per client
+_BATCH_MIN_SPEEDUP = 2.0
+
+
+def _engine_batching_payload(state) -> Dict[str, Any]:
+    """Concurrent clients through a batching engine vs a serial loop.
+
+    The headline claim of the serving layer — coalescing concurrent
+    single-sample requests serves at least 2x the requests per second
+    of a server that runs each one alone — is asserted here, so the
+    gate fails on contract loss (windows that stop coalescing), not
+    just on raw-time drift.
+    """
+    samples = state["samples"]
+    total = _BATCH_CLIENTS * _BATCH_REQUESTS
+    rates = {}
+    # One request at a time: ``max_batch=1`` and a single closed loop.
+    # Batched: ``max_batch`` equals the client count, so a window closes
+    # the moment every in-flight client is aboard.
+    for label, config, clients in (
+        ("single", EngineConfig(max_batch=1, max_wait_ms=0.0), 1),
+        ("batched", EngineConfig(max_batch=_BATCH_CLIENTS, max_wait_ms=5.0), _BATCH_CLIENTS),
+    ):
+        with ServingEngine(state["artifact"], config) as engine:
+            engine.predict(samples[:1])  # warm the forward path
+            elapsed, failures = _drive(engine.predict, samples, clients, total // clients)
+        if failures:
+            raise RuntimeError(f"{label} serving failed a request: {failures[0]!r}")
+        rates[label] = total / elapsed
+    speedup = rates["batched"] / rates["single"]
+    if speedup < _BATCH_MIN_SPEEDUP:
+        raise RuntimeError(
+            f"batched serving ({rates['batched']:.0f} req/s) is only {speedup:.2f}x the "
+            f"one-at-a-time baseline ({rates['single']:.0f} req/s); the "
+            f">= {_BATCH_MIN_SPEEDUP}x batching contract is broken"
+        )
+    return {
+        "speedup": round(speedup, 2),
+        "single_requests_per_s": round(rates["single"], 1),
+        "batched_requests_per_s": round(rates["batched"], 1),
+    }
+
+
+register(
+    BenchSpec(
+        name="serve.engine_batching",
+        title="ServingEngine batched vs one-at-a-time (8 clients x 25 requests, >= 2x)",
+        setup=_sealed_setup,
+        payload=_engine_batching_payload,
+        metrics=("speedup", "single_requests_per_s", "batched_requests_per_s"),
+        repeats=5,
+        # Like serve.microbatch: bound by thread handoffs and the wait
+        # window, so raw seconds and a wide band; the in-payload 2x
+        # contract is the real gate.
+        tolerance=1.5,
+        timebase="wall",
     )
 )

@@ -11,13 +11,14 @@ The deployment end of the compression pipeline:
    :class:`ModelStore` keeps an LRU set of engines resident.
 3. **Speak** — ``python -m repro.serve --artifact PATH`` exposes
    ``/predict``, ``/healthz`` and ``/models`` over stdlib HTTP;
-   :class:`InProcessClient` / :class:`HTTPClient` are the matching
-   client halves.
-4. **Scale out** — ``--shards N`` swaps the in-process engine for a
+   :class:`HTTPClient` is the matching client half.
+4. **Scale out** — ``--shards N`` swaps the in-process store for a
    supervised multi-process shard pool (:mod:`repro.serve.fleet`):
    consistent-hash routing, heartbeat supervision, crash-loop
    breakers, zero-loss failover, and deterministic fault injection
-   through :mod:`repro.serve.fleet.chaos`.
+   through :mod:`repro.serve.fleet.chaos`.  Both are a
+   :class:`ServingBackend` with the same lifecycle and the same
+   :class:`ServingError` taxonomy.
 
 Predictions are byte-identical to
 :func:`repro.training.evaluation.predict_logits` on the source model:
@@ -33,18 +34,18 @@ from repro.serve.artifact import (
     load_artifact,
 )
 from repro.serve.batching import BatchingConfig, BatchStats, MicroBatcher, QueueFullError
-from repro.serve.client import HTTPClient, InProcessClient, RetryPolicy, ServingError
+from repro.serve.client import HTTPClient, RetryPolicy
 from repro.serve.engine import EngineConfig, ServingEngine
+from repro.serve.errors import ServingError, UnknownModelError
 from repro.serve.export import best_point, export_best
 from repro.serve.fleet import (
     FleetConfig,
-    FleetError,
     FleetSaturatedError,
     FleetSupervisor,
     FleetUnavailableError,
     WorkerError,
 )
-from repro.serve.http import ServingHTTPServer, create_server
+from repro.serve.http import ServingBackend, ServingHTTPServer, create_server
 from repro.serve.store import ModelStore
 
 __all__ = [
@@ -58,19 +59,19 @@ __all__ = [
     "MicroBatcher",
     "QueueFullError",
     "HTTPClient",
-    "InProcessClient",
     "RetryPolicy",
     "ServingError",
+    "UnknownModelError",
     "EngineConfig",
     "ServingEngine",
     "best_point",
     "export_best",
     "FleetConfig",
-    "FleetError",
     "FleetSaturatedError",
     "FleetSupervisor",
     "FleetUnavailableError",
     "WorkerError",
+    "ServingBackend",
     "ServingHTTPServer",
     "create_server",
     "ModelStore",

@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.obs.registry import default_registry
+from repro.serve.errors import RETRY_AFTER_S, ServingError
 from repro.tensor.dtypes import ACCUMULATION_DTYPE
 
 __all__ = ["BatchingConfig", "BatchStats", "MicroBatcher", "QueueFullError"]
@@ -50,44 +51,60 @@ LATENCY_WINDOW = 2048
 
 _REGISTRY = default_registry()
 _M_QUEUE_DEPTH = _REGISTRY.gauge(
-    "serve_batch_queue_depth", "Requests queued ahead of the scheduler right now.", unit="requests"
+    "serve_batch_queue_depth",
+    "Requests queued ahead of the scheduler right now.",
+    labels=("model",),
+    unit="requests",
 )
 _M_OCCUPANCY = _REGISTRY.histogram(
     "serve_batch_occupancy_rows",
     "Rows coalesced into each flushed batch window.",
+    labels=("model",),
     unit="rows",
     bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
 )
 _M_COALESCE = _REGISTRY.histogram(
     "serve_batch_coalesce_latency_s",
     "Per-request submit-to-result latency through the micro-batcher.",
+    labels=("model",),
 )
 _M_REQUESTS = _REGISTRY.counter(
-    "serve_batch_requests_total", "Requests served through micro-batch windows."
+    "serve_batch_requests_total",
+    "Requests served through micro-batch windows.",
+    labels=("model",),
 )
 _M_BATCHES = _REGISTRY.counter(
-    "serve_batch_batches_total", "Batch windows flushed through the batch function."
+    "serve_batch_batches_total",
+    "Batch windows flushed through the batch function.",
+    labels=("model",),
 )
 _M_ERRORS = _REGISTRY.counter(
-    "serve_batch_errors_total", "Batch windows whose batch function raised."
+    "serve_batch_errors_total", "Batch windows whose batch function raised.", labels=("model",)
 )
 _M_REJECTS = _REGISTRY.counter(
-    "serve_batch_rejects_total", "Submissions rejected because the bounded queue was full."
+    "serve_batch_rejects_total",
+    "Submissions rejected because the bounded queue was full.",
+    labels=("model",),
 )
 _M_TIMEOUTS = _REGISTRY.counter(
-    "serve_batch_timeouts_total", "Submissions that gave up waiting for their result."
+    "serve_batch_timeouts_total",
+    "Submissions that gave up waiting for their result.",
+    labels=("model",),
 )
 
 
-class QueueFullError(RuntimeError):
+class QueueFullError(ServingError):
     """The batcher's bounded queue is full; the request was rejected.
 
     Raised from :meth:`MicroBatcher.submit` *immediately* (never after a
     wait) so overload degrades gracefully: the caller gets a clear,
-    retryable signal instead of the queue growing without limit.  The
-    fleet worker maps this to a retryable ``saturated`` error, and the
-    HTTP layer to ``503`` + ``Retry-After``.
+    retryable ``saturated`` signal (``503`` + ``Retry-After`` over HTTP)
+    instead of the queue growing without limit.
     """
+
+    code = "saturated"
+    retryable = True
+    retry_after = RETRY_AFTER_S
 
 
 @dataclass(frozen=True)
@@ -160,16 +177,29 @@ class MicroBatcher:
 
     ``batch_fn`` receives one array of stacked request rows and must
     return an array whose leading dimension matches it (zero-length
-    input included).  It always runs on the scheduler thread.
+    input included).  It always runs on the scheduler thread.  ``name``
+    is the ``model`` label of the batcher's instruments, so two
+    resident models never overwrite each other's series.
     """
 
     def __init__(
         self,
         batch_fn: Callable[[np.ndarray], np.ndarray],
         config: Optional[BatchingConfig] = None,
+        name: str = "default",
     ) -> None:
         self._batch_fn = batch_fn
         self.config = config if config is not None else BatchingConfig()
+        # Children resolve once: the hot path records on bound
+        # instruments, never through a registry lookup.
+        self._m_queue_depth = _M_QUEUE_DEPTH.labelled(model=name)
+        self._m_occupancy = _M_OCCUPANCY.labelled(model=name)
+        self._m_coalesce = _M_COALESCE.labelled(model=name)
+        self._m_requests = _M_REQUESTS.labelled(model=name)
+        self._m_batches = _M_BATCHES.labelled(model=name)
+        self._m_errors = _M_ERRORS.labelled(model=name)
+        self._m_rejects = _M_REJECTS.labelled(model=name)
+        self._m_timeouts = _M_TIMEOUTS.labelled(model=name)
         # maxsize counts requests, not rows: the point is bounding queued
         # callers (and their arrays), and per-request admission keeps the
         # reject check O(1).
@@ -209,14 +239,14 @@ class MicroBatcher:
             try:
                 self._queue.put_nowait(pending)
             except queue.Full:
-                _M_REJECTS.inc()
+                self._m_rejects.inc()
                 raise QueueFullError(
                     f"micro-batcher queue is full ({self.config.max_queue} requests "
                     "queued); retry later or raise BatchingConfig.max_queue"
                 ) from None
-        _M_QUEUE_DEPTH.set(self._queue.qsize())  # repro: ignore[lock-discipline] -- qsize() is Queue's own locked read; the gauge is advisory
+        self._m_queue_depth.set(self._queue.qsize())  # repro: ignore[lock-discipline] -- qsize() is Queue's own locked read; the gauge is advisory
         if not pending.done.wait(timeout):
-            _M_TIMEOUTS.inc()
+            self._m_timeouts.inc()
             raise TimeoutError(
                 f"request ({pending.rows} rows) not served within {timeout}s; "
                 "it stays queued and its result will be discarded"
@@ -342,13 +372,13 @@ class MicroBatcher:
                 self._latencies_s.append(completed - pending.enqueued)
         # Registry instruments record outside ``_stats_lock``: each child
         # carries its own lock, and ``stats()`` readers never touch them.
-        _M_REQUESTS.inc(len(window))
-        _M_BATCHES.inc()
-        _M_OCCUPANCY.observe(rows)
-        _M_QUEUE_DEPTH.set(self._queue.qsize())  # repro: ignore[lock-discipline] -- qsize() is Queue's own locked read; the gauge is advisory
+        self._m_requests.inc(len(window))
+        self._m_batches.inc()
+        self._m_occupancy.observe(rows)
+        self._m_queue_depth.set(self._queue.qsize())  # repro: ignore[lock-discipline] -- qsize() is Queue's own locked read; the gauge is advisory
         if failed:
-            _M_ERRORS.inc()
+            self._m_errors.inc()
         for pending in window:
-            _M_COALESCE.observe(completed - pending.enqueued)
+            self._m_coalesce.observe(completed - pending.enqueued)
         for pending in window:
             pending.done.set()

@@ -1,18 +1,17 @@
-"""Serving clients: in-process (benchmarks, tests) and HTTP (stdlib).
+"""The stdlib HTTP client of the serving frontend.
 
-:class:`InProcessClient` talks straight to a :class:`ServingEngine`
-without any transport — it is what the load-generator benchmark drives
-from many threads, so the measured speedup isolates the batching
-scheduler from HTTP overhead.  :class:`HTTPClient` speaks the JSON
-protocol of :mod:`repro.serve.http` over ``urllib`` so smoke tests and
-scripts need no third-party HTTP library.
+:class:`HTTPClient` speaks the JSON protocol of :mod:`repro.serve.http`
+over ``urllib`` so smoke tests and scripts need no third-party HTTP
+library.
 
-The HTTP client retries what is worth retrying: connection errors (the
-server is restarting, a fleet shard pool is rebooting) and ``503``
-overload rejections, with bounded attempts, exponential backoff, full
-jitter, and the server's ``Retry-After`` hint as a floor.  Anything
-else — bad input, unknown model, a genuine server bug — surfaces
-immediately as a :class:`ServingError` with ``retryable=False``.
+It retries what is worth retrying: connection errors (the server is
+restarting, a fleet shard pool is rebooting) and rejections the server
+marks ``"retryable": true`` (a ``503`` without that flag counts as
+retryable), with bounded attempts, exponential backoff, full jitter,
+and the server's ``Retry-After`` hint as a floor.  Anything else — bad
+input, unknown model, a genuine server bug, every breaker open —
+surfaces immediately as a :class:`ServingError` with
+``retryable=False``.
 """
 
 from __future__ import annotations
@@ -22,38 +21,13 @@ import random
 import time
 import urllib.error
 import urllib.request
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.serve.engine import ServingEngine
+from repro.serve.errors import ServingError
 
-__all__ = ["HTTPClient", "InProcessClient", "RetryPolicy", "ServingError"]
-
-#: HTTP statuses worth retrying: pure overload/unavailability signals.
-RETRYABLE_STATUSES = frozenset({503})
-
-
-class ServingError(RuntimeError):
-    """A server-side error reported to a client (HTTP 4xx/5xx payload).
-
-    ``retryable`` says whether another attempt could succeed (overload,
-    a restarting backend) — :class:`HTTPClient` consumes it in its
-    retry loop and callers can too.  ``retry_after`` carries the
-    server's ``Retry-After`` hint in seconds when one was sent.
-    """
-
-    def __init__(
-        self,
-        status: int,
-        message: str,
-        retryable: bool = False,
-        retry_after: Optional[float] = None,
-    ) -> None:
-        super().__init__(f"HTTP {status}: {message}")
-        self.status = status
-        self.retryable = retryable
-        self.retry_after = retry_after
+__all__ = ["HTTPClient", "RetryPolicy", "ServingError"]
 
 
 class RetryPolicy:
@@ -89,23 +63,6 @@ class RetryPolicy:
         if retry_after is not None:
             return max(jittered, retry_after)
         return jittered
-
-
-class InProcessClient:
-    """Blocking client bound to one engine in the same process.
-
-    Safe to share across threads: each ``predict`` submits to the
-    engine's micro-batcher and blocks the calling thread only.
-    """
-
-    def __init__(self, engine: ServingEngine) -> None:
-        self.engine = engine
-
-    def predict(self, inputs) -> np.ndarray:
-        return self.engine.predict(inputs)
-
-    def stats(self) -> Dict[str, object]:
-        return self.engine.stats()
 
 
 class HTTPClient:
@@ -157,13 +114,17 @@ class HTTPClient:
                     retry_after = float(header)
                 except ValueError:
                     retry_after = None
-            retryable = error.code in RETRYABLE_STATUSES or bool(body.get("retryable", False))
+            # The body's explicit flag wins: a 503 may say it is final.
+            retryable = body.get("retryable", error.code == 503)
             raise ServingError(
-                error.code, message, retryable=retryable, retry_after=retry_after
+                f"HTTP {error.code}: {message}",
+                retryable=bool(retryable),
+                retry_after=retry_after,
+                status=error.code,
             ) from error
 
     def _request(self, path: str, payload: Optional[dict] = None) -> dict:
-        """One logical request: retries connection errors and 503s."""
+        """One logical request: retries connection errors and retryable rejections."""
         for attempt in range(1, self.retry.attempts + 1):
             try:
                 return self._request_once(path, payload)

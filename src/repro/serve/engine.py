@@ -2,7 +2,7 @@
 
 The engine owns one sealed :class:`~repro.serve.artifact.ModelArtifact`
 and a :class:`~repro.serve.batching.MicroBatcher`.  Caller threads (the
-HTTP frontend, the in-process client, benchmark load generators) call
+model store on behalf of the HTTP frontend, benchmark load generators) call
 :meth:`predict`; requests queue, coalesce into micro-batches, and run
 through the fused evaluation graph on the single scheduler thread.
 
@@ -116,7 +116,7 @@ class ServingEngine:
         self._m_rows = _M_ROWS.labelled(model=self.name)
         self._m_forward = _M_FORWARD.labelled(model=self.name)
         self._m_sanitize_faults = _M_SANITIZE_FAULTS.labelled(model=self.name)
-        self._batcher = MicroBatcher(self._forward, self.config.batching())
+        self._batcher = MicroBatcher(self._forward, self.config.batching(), name=self.name)
 
     # ------------------------------------------------------------------
     # Client surface

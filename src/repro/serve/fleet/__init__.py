@@ -18,7 +18,6 @@ from repro.serve.fleet.protocol import (
 )
 from repro.serve.fleet.supervisor import (
     FleetConfig,
-    FleetError,
     FleetSaturatedError,
     FleetSupervisor,
     FleetUnavailableError,
@@ -34,7 +33,6 @@ __all__ = [
     "EXIT_CHAOS_KILL",
     "EXIT_OK",
     "FleetConfig",
-    "FleetError",
     "FleetSaturatedError",
     "FleetSupervisor",
     "FleetUnavailableError",

@@ -44,6 +44,7 @@ import numpy as np
 from repro.obs.registry import MetricsRegistry, default_registry, merge_snapshots
 from repro.serve.artifact import read_artifact_meta
 from repro.serve.engine import EngineConfig
+from repro.serve.errors import RETRY_AFTER_S, ServingError, UnknownModelError
 from repro.serve.fleet.chaos import CHAOS_ENV_VAR, parse_chaos
 from repro.serve.fleet.protocol import (
     ConnectionClosed,
@@ -57,7 +58,6 @@ from repro.serve.fleet.worker import worker_entry
 
 __all__ = [
     "FleetConfig",
-    "FleetError",
     "FleetSaturatedError",
     "FleetSupervisor",
     "FleetUnavailableError",
@@ -131,29 +131,26 @@ def _declare_fleet_instruments(registry: MetricsRegistry) -> Dict[str, object]:
 _declare_fleet_instruments(default_registry())
 
 
-class FleetError(RuntimeError):
-    """Base class for fleet-level failures."""
-
-
-class FleetSaturatedError(FleetError):
+class FleetSaturatedError(ServingError):
     """The pool cannot admit new work right now; retry after a delay."""
 
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
+    code = "saturated"
+    retryable = True
+    retry_after = RETRY_AFTER_S
 
 
-class FleetUnavailableError(FleetError):
+class FleetUnavailableError(ServingError):
     """No shard can ever take this request (breakers open / fleet closed)."""
 
+    code = "unavailable"
 
-class WorkerError(RuntimeError):
-    """An error a shard reported for one request (bad input, model bug)."""
 
-    def __init__(self, message: str, code: str = "internal", retryable: bool = False) -> None:
-        super().__init__(message)
-        self.code = code
-        self.retryable = retryable
+class WorkerError(ServingError):
+    """An error a shard reported for one request (bad input, model bug).
+
+    Its ``code``, ``retryable`` and ``retry_after`` are the ones the
+    shard's own :class:`~repro.serve.errors.ServingError` carried.
+    """
 
 
 @dataclass(frozen=True)
@@ -248,6 +245,7 @@ class _ShardLink:
         "last_ping",
         "ping_seq",
         "requests",
+        "loaded",
         "_send_lock",
     )
 
@@ -262,6 +260,8 @@ class _ShardLink:
         self.last_ping = 0.0
         self.ping_seq = 0
         self.requests = 0
+        #: Models the shard reported resident (hello, pong, admin-ack).
+        self.loaded: Tuple[str, ...] = ()
         self._send_lock = threading.Lock()
 
     def send(self, header: dict, payload: bytes = b"") -> None:
@@ -298,11 +298,12 @@ class _Slot:
 
 
 class _SpawnWaiter:
-    __slots__ = ("event", "conn")
+    __slots__ = ("event", "conn", "loaded")
 
     def __init__(self) -> None:
         self.event = threading.Event()
         self.conn: Optional[socket.socket] = None
+        self.loaded: Tuple[str, ...] = ()
 
 
 class _ControlWaiter:
@@ -433,6 +434,7 @@ class FleetSupervisor:
             waiter = self._waiters.get(token)
             if waiter is not None:
                 waiter.conn = conn
+                waiter.loaded = tuple(header.get("loaded", ()))
         if waiter is None:
             conn.close()  # unknown/stale incarnation
             return
@@ -490,6 +492,7 @@ class FleetSupervisor:
                     self._record_crash(slot)
             return
         link.conn = waiter.conn
+        link.loaded = waiter.loaded
         now = time.monotonic()
         link.last_pong = now
         link.last_ping = now
@@ -568,7 +571,7 @@ class FleetSupervisor:
         self._metrics["reroutes_max"].set_max(pending.reroutes)
         try:
             self._dispatch(pending, admission=False)
-        except FleetError as error:
+        except ServingError as error:
             pending.fail(error)
 
     def _monitor(self) -> None:
@@ -616,6 +619,9 @@ class FleetSupervisor:
             except (ConnectionClosed, ProtocolError, OSError):
                 break
             kind = header.get("kind")
+            if "loaded" in header:
+                # Pongs and admin acks report the shard's resident models.
+                link.loaded = tuple(header["loaded"])
             if kind == "result":
                 with self._lock:
                     pending = link.pending.pop(header.get("id"), None)
@@ -648,6 +654,7 @@ class FleetSupervisor:
                             str(header.get("message", "shard error")),
                             code=str(header.get("code", "internal")),
                             retryable=bool(header.get("retryable", False)),
+                            retry_after=header.get("retry_after"),
                         )
                     )
             elif kind == "pong":
@@ -713,10 +720,12 @@ class FleetSupervisor:
 
         Every live shard is asked for its process-local snapshot (batch
         scheduler, engines, model store instruments) and the results are
-        merged on top of the supervisor's own registry — counters and
-        histogram buckets sum, so the fleet's p99 reflects every shard's
-        samples.  Schema-identical to a single-process snapshot: the
-        ``/metrics`` contract does not change shape behind a fleet.
+        merged on top of the supervisor's own registry and this
+        process's default one (where the HTTP frontend counts) —
+        counters and histogram buckets sum, so the fleet's p99 reflects
+        every shard's samples.  Schema-identical to a single-process
+        snapshot: the ``/metrics`` contract does not change shape
+        behind a fleet.
         """
         with self._lock:
             states = [slot.state for slot in self._slots]
@@ -735,28 +744,28 @@ class FleetSupervisor:
             for reply in replies.values()
             if reply is not None and isinstance(reply.get("snapshot"), dict)
         ]
-        return merge_snapshots(self._registry.snapshot(), *shard_snapshots)
+        return merge_snapshots(
+            default_registry().snapshot(), self._registry.snapshot(), *shard_snapshots
+        )
 
     def _admin_broadcast(self, kind: str, name: str, timeout: float) -> Dict[str, object]:
         if name not in self._artifacts:
-            raise KeyError(
+            raise UnknownModelError(
                 f"no model named {name!r} is registered; available: {list(self._artifacts)}"
             )
-        replies = self._broadcast(
-            {"kind": kind, "model": name, "path": self._artifacts[name]}, timeout
-        )
+        replies = self._broadcast({"kind": kind, "model": name}, timeout)
         shards = {
             str(index): (reply is not None and bool(reply.get("ok", False)))
             for index, reply in replies.items()
         }
         return {"model": name, "shards": shards, "ok": all(shards.values()) and bool(shards)}
 
-    def admin_load(self, name: str, timeout: float = 30.0) -> Dict[str, object]:
+    def load(self, name: str, timeout: float = 30.0) -> Dict[str, object]:
         """Ensure every live shard holds a warm engine for ``name``."""
         return self._admin_broadcast("load", name, timeout)
 
-    def admin_evict(self, name: str, timeout: float = 30.0) -> Dict[str, object]:
-        """Drop ``name``'s engine on every live shard (reload via load)."""
+    def evict(self, name: str, timeout: float = 30.0) -> Dict[str, object]:
+        """Drop ``name``'s engine on every live shard; the next predict reloads it."""
         return self._admin_broadcast("evict", name, timeout)
 
     def queue_depth(self) -> int:
@@ -864,7 +873,7 @@ class FleetSupervisor:
         """
         name = model if model is not None else self.default_model
         if name not in self._artifacts:
-            raise KeyError(
+            raise UnknownModelError(
                 f"no model named {name!r} is registered; available: {list(self._artifacts)}"
             )
         pending = _Pending(name, np.asarray(inputs))
@@ -881,12 +890,30 @@ class FleetSupervisor:
         """Registered model names (every shard serves all of them)."""
         return list(self._artifacts)
 
+    def loaded(self) -> List[str]:
+        """Models every live shard holds resident (none while none is live)."""
+        with self._lock:
+            shards = [slot.link.loaded for slot in self._slots if slot.state == "live"]
+        if not shards:
+            return []
+        return [name for name in self._artifacts if all(name in held for held in shards)]
+
     def describe(self) -> List[Dict[str, object]]:
-        """Artifact metadata per model, as captured at boot."""
+        """Artifact metadata per model (captured at boot) and its residency."""
+        loaded = self.loaded()
         return [
-            {"name": name, "path": path, "loaded": True, **self._meta[name]}
+            {"name": name, "path": path, "loaded": name in loaded, **self._meta[name]}
             for name, path in self._artifacts.items()
         ]
+
+    def health(self) -> Dict[str, object]:
+        """What ``/healthz`` reports: liveness, residency, per-shard states."""
+        shards = self.shard_states()
+        return {
+            "live": any(shard["state"] == "live" for shard in shards),
+            "loaded": self.loaded(),
+            "shards": shards,
+        }
 
     def shard_states(self) -> List[Dict[str, object]]:
         """Live per-shard snapshot (what ``/healthz`` reports)."""

@@ -1,15 +1,18 @@
-"""The shard worker process: one warm ServingEngine pool behind a socket.
+"""The shard worker process: one warm ModelStore behind a socket.
 
 A worker is spawned by the supervisor with the listener address, an
-authentication token, and the sealed-artifact table.  It warm-loads a
-:class:`~repro.serve.engine.ServingEngine` per artifact *before* saying
-hello — a shard that answers the handshake is ready to serve, so a
-restarted shard never serves cold-start errors — then loops on the
-length-prefixed protocol:
+authentication token, and the sealed-artifact table.  It registers
+every artifact in a :class:`~repro.serve.store.ModelStore` sized to
+hold them all and warm-loads each *before* saying hello — a shard that
+answers the handshake is ready to serve, so a restarted shard never
+serves cold-start errors — then loops on the length-prefixed protocol:
 
 * ``predict`` frames are decoded and dispatched to a small handler pool
-  whose threads block on the engine's micro-batcher (concurrent requests
-  coalesce into shared forward passes exactly like in-process serving);
+  whose threads serve through the store (concurrent requests coalesce
+  in the engine's micro-batcher exactly like in-process serving, and an
+  evicted model reloads on its next predict);
+* ``load`` / ``evict`` frames run the store's admin verbs; the ack, like
+  every pong, reports the models the shard holds resident;
 * ``ping`` frames are answered immediately from the reader loop, so
   heartbeats measure process liveness, not queue depth;
 * ``shutdown`` (from the supervisor) and SIGTERM/SIGINT (from an
@@ -31,11 +34,10 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.obs.registry import default_registry
-from repro.serve.batching import QueueFullError
-from repro.serve.engine import EngineConfig, ServingEngine
+from repro.serve.engine import EngineConfig
+from repro.serve.errors import ServingError, as_serving_error
 from repro.serve.fleet.chaos import parse_chaos
 from repro.serve.fleet.protocol import (
     ConnectionClosed,
@@ -45,6 +47,7 @@ from repro.serve.fleet.protocol import (
     recv_message,
     send_message,
 )
+from repro.serve.store import ModelStore
 
 __all__ = ["EXIT_CHAOS_KILL", "EXIT_OK", "worker_entry", "worker_main"]
 
@@ -71,17 +74,13 @@ class _Worker:
         self,
         sock: socket.socket,
         shard_index: int,
-        engines: Dict[str, ServingEngine],
+        store: ModelStore,
         chaos_spec: Optional[str],
         handler_threads: int,
-        engine_config: Optional[EngineConfig] = None,
     ) -> None:
         self.sock = sock
         self.shard_index = shard_index
-        self.engines = engines
-        self.engine_config = engine_config
-        # Guards ``engines`` against admin load/evict racing predicts.
-        self._engines_lock = threading.Lock()
+        self.store = store
         self.chaos = parse_chaos(chaos_spec).for_shard(shard_index)
         self.draining = threading.Event()
         self.exit_code = EXIT_OK
@@ -101,6 +100,15 @@ class _Worker:
     def _send(self, header: dict, payload: bytes = b"") -> None:
         with self._write_lock:
             send_message(self.sock, header, payload)
+
+    def _send_residency(self, header: dict) -> None:
+        """Send ``header`` stamped with the models this shard holds.
+
+        Read under the write lock, so a frame later in the stream never
+        reports an older residency than an earlier one.
+        """
+        with self._write_lock:
+            send_message(self.sock, {**header, "loaded": self.store.loaded()})
 
     # ------------------------------------------------------------------
     # Main loop
@@ -125,7 +133,7 @@ class _Worker:
                     self._pings_seen += 1
                     if stall is not None and self._pings_seen > stall.after:
                         continue  # wedged on purpose: alive, but silent to heartbeats
-                    self._send({"kind": "pong", "seq": header.get("seq", 0)})
+                    self._send_residency({"kind": "pong", "seq": header.get("seq", 0)})
                 elif kind == "predict":
                     self._predicts_seen += 1
                     if kill is not None and self._predicts_seen >= kill.after:
@@ -148,7 +156,7 @@ class _Worker:
                             "kind": "metrics",
                             "id": header.get("id"),
                             "shard": self.shard_index,
-                            "snapshot": default_registry().snapshot(),
+                            "snapshot": self.store.metrics_snapshot(),
                         }
                     )
                 elif kind in ("load", "evict"):
@@ -167,10 +175,7 @@ class _Worker:
                 self._send({"kind": "goodbye", "shard": self.shard_index})
             except OSError:
                 pass
-            with self._engines_lock:
-                engines = list(self.engines.values())
-            for engine in engines:
-                engine.close()
+            self.store.close()
             try:
                 self.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -186,23 +191,9 @@ class _Worker:
     ) -> None:
         request_id = header.get("id")
         try:
-            inputs = decode_array(header, payload)
-            with self._engines_lock:
-                engine = self.engines[header.get("model")]
-            logits = engine.predict(inputs)
-        except KeyError:
-            self._reply_error(request_id, "unknown-model", f"shard has no model {header.get('model')!r}", False)
-            return
-        except (ValueError, TypeError) as error:
-            self._reply_error(request_id, "bad-request", str(error), False)
-            return
-        except QueueFullError as error:
-            # The shard itself is saturated; the supervisor (or client)
-            # may retry elsewhere/later.
-            self._reply_error(request_id, "saturated", str(error), True)
-            return
-        except BaseException as error:  # noqa: BLE001 - reported, never dropped
-            self._reply_error(request_id, "internal", f"{type(error).__name__}: {error}", False)
+            logits = self.store.predict(decode_array(header, payload), header.get("model"))
+        except Exception as error:  # noqa: BLE001 - reported, never dropped
+            self._reply_error(request_id, as_serving_error(error))
             return
         meta, body = encode_array(logits)
         if corrupt_this and body:
@@ -217,53 +208,30 @@ class _Worker:
             pass  # supervisor gone; it will have re-routed already
 
     def _handle_admin(self, header: dict, load: bool) -> None:
-        request_id = header.get("id")
         name = header.get("model")
+        ack = {"kind": "admin-ack", "id": header.get("id"), "model": name, "ok": True}
         try:
             if load:
-                with self._engines_lock:
-                    missing = name not in self.engines
-                if missing:
-                    # Build outside the lock (a warm load reads megabytes
-                    # of weights); last writer wins on the rare race.
-                    engine = ServingEngine(
-                        header.get("path"), config=self.engine_config, name=name
-                    )
-                    with self._engines_lock:
-                        stale = self.engines.get(name)
-                        self.engines[name] = engine
-                    if stale is not None:
-                        stale.close()
-                evicted = None
+                self.store.load(name)
             else:
-                with self._engines_lock:
-                    evicted = self.engines.pop(name, None)
-            if evicted is not None:
-                evicted.close()
-            self._send({"kind": "admin-ack", "id": request_id, "model": name, "ok": True})
-        except BaseException as error:  # noqa: BLE001 - reported, never dropped
-            try:
-                self._send(
-                    {
-                        "kind": "admin-ack",
-                        "id": request_id,
-                        "model": name,
-                        "ok": False,
-                        "error": f"{type(error).__name__}: {error}",
-                    }
-                )
-            except OSError:
-                pass
+                self.store.evict(name)
+        except Exception as error:  # noqa: BLE001 - reported, never dropped
+            ack.update(ok=False, error=f"{type(error).__name__}: {error}")
+        try:
+            self._send_residency(ack)
+        except OSError:
+            pass
 
-    def _reply_error(self, request_id, code: str, message: str, retryable: bool) -> None:
+    def _reply_error(self, request_id, error: ServingError) -> None:
         try:
             self._send(
                 {
                     "kind": "error",
                     "id": request_id,
-                    "code": code,
-                    "message": message,
-                    "retryable": retryable,
+                    "code": error.code,
+                    "message": str(error),
+                    "retryable": error.retryable,
+                    "retry_after": error.retry_after,
                 }
             )
         except OSError:
@@ -281,16 +249,16 @@ def worker_main(
     handler_threads: int = 4,
 ) -> int:
     """Run one shard worker to completion; returns the exit code."""
-    config = EngineConfig(**(engine_config or {}))
     # Warm spawn: every artifact loads before the hello, so a shard that
-    # joins the pool serves its first request from a hot engine.
-    engines: Dict[str, ServingEngine] = {}
+    # joins the pool serves its first request from a hot engine.  Room
+    # for all of them: boot never evicts.
+    store = ModelStore(capacity=len(artifacts), config=EngineConfig(**(engine_config or {})))
     try:
         for name, path in artifacts:
-            engines[name] = ServingEngine(path, config=config, name=name)
+            store.register(name, path)
+            store.load(name)
     except BaseException:
-        for engine in engines.values():
-            engine.close()
+        store.close()
         raise
     try:
         sock = _connect(family_name, address)
@@ -298,12 +266,9 @@ def worker_main(
         # The supervisor is already gone (fleet closed while this
         # restart was in flight): exit quietly instead of crashing with
         # a traceback nobody can act on.
-        for engine in engines.values():
-            engine.close()
+        store.close()
         return EXIT_OK
-    worker = _Worker(
-        sock, shard_index, engines, chaos_spec, handler_threads, engine_config=config
-    )
+    worker = _Worker(sock, shard_index, store, chaos_spec, handler_threads)
 
     def _drain_signal(signum, frame):  # noqa: ARG001 - stdlib signature
         worker.draining.set()
@@ -320,7 +285,7 @@ def worker_main(
             "token": token,
             "shard": shard_index,
             "pid": os.getpid(),
-            "models": [name for name, _ in artifacts],
+            "loaded": store.loaded(),
         }
     )
     return worker.run()

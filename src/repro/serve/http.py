@@ -1,9 +1,10 @@
 """Stdlib-only HTTP frontend for the serving subsystem.
 
 ``python -m repro.serve --artifact model.npz`` starts a threaded HTTP
-server over a :class:`~repro.serve.store.ModelStore`; with
-``--shards N`` (N >= 2) the same routes are served by a supervised
-:class:`~repro.serve.fleet.FleetSupervisor` shard pool instead:
+server over an in-process ``ModelStore``; with ``--shards N`` (N >= 2)
+the same routes are served by a supervised ``FleetSupervisor`` shard
+pool instead.  Both are a :class:`ServingBackend`, so every route below
+is one code path:
 
 * ``GET /healthz`` — liveness, draining state, aggregate queue depth,
   and which models are registered/loaded (and, under a fleet, the
@@ -31,10 +32,13 @@ Responses carry the artifact's compute dtype and the logits' shape,
 which lets a client reconstruct the numpy result byte-identically
 (including zero-row responses).
 
-Overload is a first-class response, not an accident: a saturated pool
-(or a full micro-batcher queue) answers ``503`` with a ``Retry-After``
-header, which :class:`~repro.serve.client.HTTPClient` honours in its
-retry loop.  SIGTERM/SIGINT drain instead of dropping connections:
+Every failure is a :class:`~repro.serve.errors.ServingError` whose code
+maps to an HTTP status in one table, answered as ``{"error": ...,
+"retryable": ...}``.  Overload is a first-class response, not an
+accident: a saturated pool (or a full micro-batcher queue) answers
+``503`` with a ``Retry-After`` header, which
+:class:`~repro.serve.client.HTTPClient` honours in its retry loop.
+SIGTERM/SIGINT drain instead of dropping connections:
 the listener stops accepting, every in-flight request still gets its
 response, then the backend shuts down and the process exits.
 """
@@ -51,32 +55,35 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 from urllib.parse import unquote, urlsplit
 
+import numpy as np
+
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from repro.obs.registry import default_registry, merge_snapshots
+from repro.obs.registry import default_registry
 from repro.serve.admin import RateLimit, RateLimiter
-from repro.serve.batching import QueueFullError
 from repro.serve.engine import EngineConfig
-from repro.serve.fleet.supervisor import (
-    FleetConfig,
-    FleetError,
-    FleetSaturatedError,
-    FleetSupervisor,
-    FleetUnavailableError,
-    WorkerError,
-)
+from repro.serve.errors import RETRY_AFTER_S, ServingError, UnknownModelError, as_serving_error
+from repro.serve.fleet.supervisor import FleetConfig, FleetSupervisor
 from repro.serve.store import ModelStore
 
-__all__ = ["ServingHTTPServer", "build_parser", "create_server", "main"]
+__all__ = ["ServingBackend", "ServingHTTPServer", "build_parser", "create_server", "main"]
 
 #: How long a drain waits for in-flight requests before giving up.
 DRAIN_TIMEOUT_S = 30.0
 
-#: ``Retry-After`` hint attached to single-process saturation (the
-#: fleet carries its own per-config hint).
-RETRY_AFTER_S = 1.0
+#: The one failure -> HTTP status table, keyed by ``ServingError.code``.
+_STATUS = {
+    "bad-request": 400,
+    "not-found": 404,
+    "rate-limited": 429,
+    "internal": 500,
+    "saturated": 503,
+    "draining": 503,
+    "unavailable": 503,
+    "timeout": 504,
+}
 
 _REGISTRY = default_registry()
 _M_HTTP_REQUESTS = _REGISTRY.counter(
@@ -99,15 +106,45 @@ def _retry_after_header(seconds: float) -> str:
     return str(max(1, math.ceil(seconds)))
 
 
-class ServingHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to a model store or a shard fleet.
+class ServingBackend(Protocol):
+    """What the frontend serves through: a ``ModelStore`` or a ``FleetSupervisor``.
 
-    Exactly one backend is active: ``fleet`` when supplied (the store
-    is then only consulted for registration metadata and may be
-    ``None``), the in-process ``store`` otherwise.  The server counts
-    in-flight connections so :meth:`drain` can stop accepting and wait
-    for every accepted request to finish — the graceful half of
-    SIGTERM handling.
+    Failures raise :class:`~repro.serve.errors.ServingError` (an
+    unknown model is :class:`~repro.serve.errors.UnknownModelError`);
+    invalid inputs may also surface as ``ValueError`` / ``TypeError``.
+    """
+
+    def predict(self, inputs, model: str) -> np.ndarray:
+        """Logits for ``inputs`` from ``model``; an evicted model reloads."""
+
+    def names(self) -> List[str]:
+        """Registered model names, in registration order."""
+
+    def describe(self) -> List[Dict[str, object]]:
+        """Per-model artifact metadata plus its ``loaded`` flag."""
+
+    def load(self, name: str) -> Dict[str, object]:
+        """Warm ``name``; the reply body of ``POST /models/{name}/load``."""
+
+    def evict(self, name: str) -> Dict[str, object]:
+        """Drop ``name``'s engine(s); the reply of ``POST /models/{name}/evict``."""
+
+    def queue_depth(self) -> int:
+        """Requests admitted but not yet answered."""
+
+    def metrics_snapshot(self) -> Dict[str, object]:
+        """The ``repro-metrics/v1`` snapshot ``GET /metrics`` serves."""
+
+    def health(self) -> Dict[str, object]:
+        """``live`` (can anything serve?), ``loaded`` names, and backend details."""
+
+
+class ServingHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server bound to one serving backend.
+
+    The server counts in-flight connections so :meth:`drain` can stop
+    accepting and wait for every accepted request to finish — the
+    graceful half of SIGTERM handling.
     """
 
     daemon_threads = True
@@ -115,16 +152,12 @@ class ServingHTTPServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: Tuple[str, int],
-        store: Optional[ModelStore],
+        backend: ServingBackend,
         default_model: str,
-        fleet: Optional[FleetSupervisor] = None,
         rate_limiter: Optional[RateLimiter] = None,
     ) -> None:
-        if store is None and fleet is None:
-            raise ValueError("a serving server needs a store or a fleet backend")
         super().__init__(address, _Handler)
-        self.store = store
-        self.fleet = fleet
+        self.backend = backend
         self.default_model = default_model
         self.rate_limiter = rate_limiter if rate_limiter is not None else RateLimiter()
         #: Called once when an admin ``POST /drain`` lands; ``main``
@@ -193,29 +226,6 @@ class ServingHTTPServer(ThreadingHTTPServer):
         else:
             threading.Thread(target=self.drain, name="repro-serve-drain", daemon=True).start()
 
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """The live ``repro-metrics/v1`` snapshot for ``GET /metrics``.
-
-        In-process serving reads the process-default registry (batcher,
-        engines, store, HTTP counters); a fleet merges the supervisor's
-        registry and every shard's snapshot on top of the frontend's
-        own HTTP counters.  Both shapes are identical — one schema, no
-        matter the backend.
-        """
-        local = default_registry().snapshot()
-        if self.fleet is not None:
-            return merge_snapshots(local, self.fleet.metrics_snapshot())
-        return local
-
-    def queue_depth(self) -> int:
-        """Requests queued/in-flight across the active backend."""
-        if self.fleet is not None:
-            return self.fleet.queue_depth()
-        return self.store.queue_depth()
-
 
 class _Handler(BaseHTTPRequestHandler):
     server: ServingHTTPServer
@@ -238,46 +248,28 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         path = urlsplit(self.path).path
         self._route = path if path in ("/healthz", "/models", "/metrics") else "other"
+        backend = self.server.backend
         if path == "/healthz":
             draining = self.server.draining
-            status = "draining" if draining else "ok"
-            if self.server.fleet is not None:
-                fleet = self.server.fleet
-                shards = fleet.shard_states()
-                live = sum(1 for shard in shards if shard["state"] == "live")
-                self._send_json(
-                    200,
-                    {
-                        "status": status if live else "degraded",
-                        "draining": draining,
-                        "queue_depth": self.server.queue_depth(),
-                        "default_model": fleet.default_model,
-                        "models": fleet.names(),
-                        # Every shard warm-loads every artifact before
-                        # joining the pool, so registered == loaded.
-                        "loaded": fleet.names(),
-                        "shards": shards,
-                    },
-                )
-            else:
-                self._send_json(
-                    200,
-                    {
-                        "status": status,
-                        "draining": draining,
-                        "queue_depth": self.server.queue_depth(),
-                        "default_model": self.server.default_model,
-                        "models": self.server.store.names(),
-                        "loaded": self.server.store.loaded(),
-                    },
-                )
+            health = backend.health()
+            live = health.pop("live")
+            self._send_json(
+                200,
+                {
+                    "status": ("draining" if draining else "ok") if live else "degraded",
+                    "draining": draining,
+                    "queue_depth": backend.queue_depth(),
+                    "default_model": self.server.default_model,
+                    "models": backend.names(),
+                    **health,
+                },
+            )
         elif path == "/models":
-            backend = self.server.fleet if self.server.fleet is not None else self.server.store
             self._send_json(200, {"models": backend.describe()})
         elif path == "/metrics":
             self._send_metrics()
         else:
-            self._send_json(404, {"error": f"unknown path {path!r}"})
+            self._send_error(ServingError(f"unknown path {path!r}", code="not-found"))
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         # Drain the body before routing: leaving unread bytes on a
@@ -287,7 +279,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = self.rfile.read(length)
         except (ValueError, OSError):
             self._route = "other"
-            self._send_json(400, {"error": "unreadable request body"})
+            self._send_error(ServingError("unreadable request body", code="bad-request"))
             return
         path = urlsplit(self.path).path
         admin = _ADMIN_ROUTE.match(path)
@@ -305,206 +297,46 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if path != "/predict":
             self._route = "other"
-            self._send_json(404, {"error": f"unknown path {path!r}"})
+            self._send_error(ServingError(f"unknown path {path!r}", code="not-found"))
             return
         self._route = "/predict"
         if self.server.draining:
             # Drain semantics: finish what was admitted, admit nothing
             # new.  Retryable so a balancer/client fails over cleanly.
-            self._send_json(
-                503,
-                {"error": "server is draining", "retryable": True},
-                headers={"Retry-After": "1"},
+            self._send_error(
+                ServingError(
+                    "server is draining", code="draining", retryable=True, retry_after=RETRY_AFTER_S
+                )
             )
             return
         try:
             payload = json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
-            self._send_json(400, {"error": "request body must be a JSON object"})
+            self._send_error(ServingError("request body must be a JSON object", code="bad-request"))
             return
         if not isinstance(payload, dict) or "inputs" not in payload:
-            self._send_json(400, {"error": 'request must carry an "inputs" field'})
+            self._send_error(
+                ServingError('request must carry an "inputs" field', code="bad-request")
+            )
             return
         name = payload.get("model") or self.server.default_model
         admitted, retry_after = self.server.rate_limiter.admit(name)
         if not admitted:
             _M_RATE_LIMITED.labelled(model=name).inc()
-            self._send_json(
-                429,
-                {"error": f"rate limit exceeded for model {name!r}", "retryable": True},
-                headers={"Retry-After": _retry_after_header(retry_after)},
-            )
-            return
-        if self.server.fleet is not None:
-            self._predict_fleet(name, payload["inputs"])
-        else:
-            self._predict_store(name, payload["inputs"])
-
-    # ------------------------------------------------------------------
-    # Admin surface
-    # ------------------------------------------------------------------
-    def _handle_admin(self, name: str, action: str, body: bytes) -> None:
-        """``POST /models/{name}/load|evict|ratelimit``.
-
-        Load and evict work identically against both backends: the
-        store warms/drops its engine, the fleet broadcasts to every
-        live shard and reports per-shard acknowledgements.
-        """
-        if action == "ratelimit":
-            self._handle_ratelimit(name, body)
-            return
-        fleet, store = self.server.fleet, self.server.store
-        try:
-            if fleet is not None:
-                if action == "load":
-                    result = fleet.admin_load(name)
-                else:
-                    result = fleet.admin_evict(name)
-                status = 200 if result.get("ok") else 503
-                self._send_json(status, {"action": action, **result})
-            else:
-                if action == "load":
-                    store.get(name)
-                    self._send_json(200, {"action": action, "model": name, "ok": True})
-                else:
-                    evicted = store.evict(name)
-                    self._send_json(
-                        200, {"action": action, "model": name, "ok": True, "was_loaded": evicted}
-                    )
-        except KeyError as error:
-            self._send_json(404, {"error": str(error.args[0]) if error.args else str(error)})
-        except FleetError as error:
-            self._send_json(503, {"error": str(error)})
-        except (OSError, ValueError, RuntimeError) as error:
-            self._send_json(503, {"error": f"model {name!r} failed to load: {error}"})
-
-    def _handle_ratelimit(self, name: str, body: bytes) -> None:
-        known = (
-            self.server.fleet.names() if self.server.fleet is not None
-            else self.server.store.names()
-        )
-        if name not in known:
-            self._send_json(404, {"error": f"no model named {name!r} is registered"})
-            return
-        try:
-            payload = json.loads(body.decode("utf-8")) if body.strip() else None
-        except (ValueError, UnicodeDecodeError):
-            self._send_json(400, {"error": "request body must be a JSON object or null"})
-            return
-        try:
-            if payload is None:
-                applied = self.server.rate_limiter.set_limit(name, None)
-            elif isinstance(payload, dict) and "rate_per_s" in payload:
-                applied = self.server.rate_limiter.set_limit(
-                    name, payload["rate_per_s"], payload.get("burst")
+            self._send_error(
+                ServingError(
+                    f"rate limit exceeded for model {name!r}",
+                    code="rate-limited",
+                    retryable=True,
+                    retry_after=retry_after,
                 )
-            else:
-                self._send_json(
-                    400, {"error": 'body must be null or carry "rate_per_s" (null clears)'}
-                )
-                return
-        except (TypeError, ValueError) as error:
-            self._send_json(400, {"error": str(error)})
+            )
             return
-        self._send_json(200, {"model": name, "limit": applied})
-
-    # ------------------------------------------------------------------
-    # Backends
-    # ------------------------------------------------------------------
-    def _predict_fleet(self, name: str, inputs) -> None:
-        """Route one prediction through the shard pool.
-
-        The supervisor's failure taxonomy maps onto HTTP statuses:
-        saturation is ``503`` + ``Retry-After`` (retryable), a fleet
-        with every breaker open is ``503`` without the hint (operator
-        attention), a request deadline is ``504``, and per-request
-        shard errors keep their code (``400``/``404``/``500``).
-        """
-        fleet = self.server.fleet
         try:
-            logits = fleet.predict(inputs, model=name)
-        except KeyError as error:
-            self._send_json(404, {"error": str(error.args[0]) if error.args else str(error)})
-        except FleetSaturatedError as error:
-            self._send_json(
-                503,
-                {"error": str(error), "retryable": True},
-                headers={"Retry-After": _retry_after_header(error.retry_after)},
-            )
-        except FleetUnavailableError as error:
-            self._send_json(503, {"error": str(error), "retryable": False})
-        except TimeoutError as error:
-            self._send_json(504, {"error": str(error)})
-        except WorkerError as error:
-            status = {"unknown-model": 404, "bad-request": 400, "saturated": 503}.get(
-                error.code, 500
-            )
-            headers = (
-                {"Retry-After": _retry_after_header(RETRY_AFTER_S)} if status == 503 else None
-            )
-            self._send_json(
-                status, {"error": str(error), "retryable": error.retryable}, headers=headers
-            )
-        except FleetError as error:
-            self._send_json(503, {"error": str(error)})
-        except (ValueError, TypeError) as error:
-            self._send_json(400, {"error": str(error)})
-        else:
-            self._send_logits(name, logits)
-
-    def _predict_store(self, name: str, inputs) -> None:
-        logits = None
-        for attempt in (0, 1):
-            try:
-                engine = self.server.store.get(name)
-            except KeyError as error:
-                self._send_json(404, {"error": str(error)})
-                return
-            except (OSError, ValueError, RuntimeError) as error:
-                # The registered artifact failed to load (deleted or
-                # corrupted on disk since registration).
-                self._send_json(503, {"error": f"model {name!r} failed to load: {error}"})
-                return
-            try:
-                logits = engine.predict(inputs)
-                break
-            except (ValueError, TypeError) as error:
-                self._send_json(400, {"error": str(error)})
-                return
-            except QueueFullError as error:
-                # Bounded-queue backpressure: overload degrades to a
-                # clear, retryable rejection instead of a growing queue.
-                self._send_json(
-                    503,
-                    {"error": str(error), "retryable": True},
-                    headers={"Retry-After": _retry_after_header(RETRY_AFTER_S)},
-                )
-                return
-            except TimeoutError as error:
-                self._send_json(504, {"error": str(error)})
-                return
-            except RuntimeError as error:
-                if engine.closed:
-                    # LRU-evicted between the lookup and the predict;
-                    # one re-fetch reloads it.  Still churning after
-                    # the retry is a capacity problem: 503.
-                    if attempt == 0:
-                        continue
-                    self._send_json(503, {"error": str(error)})
-                else:
-                    # A live engine failing is a model bug, not
-                    # pressure — report it, don't retry it.
-                    self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
-                return
-            except Exception as error:  # noqa: BLE001 - report, don't drop the socket
-                self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
-                return
-        self._send_logits(name, logits)
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def _send_logits(self, name: str, logits) -> None:
+            logits = self.server.backend.predict(payload["inputs"], name)
+        except Exception as error:  # noqa: BLE001 - report, don't drop the socket
+            self._send_error(as_serving_error(error))
+            return
         self._send_json(
             200,
             {
@@ -515,12 +347,61 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
+    # ------------------------------------------------------------------
+    # Admin surface
+    # ------------------------------------------------------------------
+    def _handle_admin(self, name: str, action: str, body: bytes) -> None:
+        """``POST /models/{name}/load|evict|ratelimit``.
+
+        Load and evict reply with the backend's own report: the store's
+        ``was_loaded``, the fleet's per-shard acknowledgements (``503``
+        unless every live shard acknowledged).
+        """
+        if action == "ratelimit":
+            self._handle_ratelimit(name, body)
+            return
+        backend = self.server.backend
+        try:
+            result = backend.load(name) if action == "load" else backend.evict(name)
+        except Exception as error:  # noqa: BLE001 - report, don't drop the socket
+            self._send_error(as_serving_error(error))
+            return
+        self._send_json(200 if result["ok"] else 503, {"action": action, **result})
+
+    def _handle_ratelimit(self, name: str, body: bytes) -> None:
+        if name not in self.server.backend.names():
+            self._send_error(UnknownModelError(f"no model named {name!r} is registered"))
+            return
+        try:
+            payload = json.loads(body.decode("utf-8")) if body.strip() else None
+        except (ValueError, UnicodeDecodeError):
+            self._send_error(
+                ServingError("request body must be a JSON object or null", code="bad-request")
+            )
+            return
+        try:
+            if payload is None:
+                applied = self.server.rate_limiter.set_limit(name, None)
+            elif isinstance(payload, dict) and "rate_per_s" in payload:
+                applied = self.server.rate_limiter.set_limit(
+                    name, payload["rate_per_s"], payload.get("burst")
+                )
+            else:
+                raise ValueError('body must be null or carry "rate_per_s" (null clears)')
+        except (TypeError, ValueError) as error:
+            self._send_error(as_serving_error(error))
+            return
+        self._send_json(200, {"model": name, "limit": applied})
+
+    # ------------------------------------------------------------------
+    # Plumbing
+    # ------------------------------------------------------------------
     def _send_metrics(self) -> None:
         """``GET /metrics``: JSON by default, Prometheus text on request."""
         try:
-            snapshot = self.server.metrics_snapshot()
-        except FleetError as error:
-            self._send_json(503, {"error": str(error)})
+            snapshot = self.server.backend.metrics_snapshot()
+        except Exception as error:  # noqa: BLE001 - report, don't drop the socket
+            self._send_error(as_serving_error(error))
             return
         query = urlsplit(self.path).query
         accept = self.headers.get("Accept", "")
@@ -531,6 +412,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_body(200, render_prometheus(snapshot).encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
         else:
             self._send_json(200, snapshot)
+
+    def _send_error(self, error: ServingError) -> None:
+        """Answer ``error`` with its status from :data:`_STATUS`."""
+        headers = None
+        if error.retry_after is not None:
+            headers = {"Retry-After": _retry_after_header(error.retry_after)}
+        self._send_json(
+            _STATUS.get(error.code, 500),
+            {"error": str(error), "retryable": error.retryable},
+            headers=headers,
+        )
 
     def _send_json(
         self, status: int, payload: dict, headers: Optional[Dict[str, str]] = None
@@ -562,17 +454,14 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def create_server(
-    store: Optional[ModelStore],
+    backend: ServingBackend,
     default_model: str,
     host: str = "127.0.0.1",
     port: int = 0,
-    fleet: Optional[FleetSupervisor] = None,
     rate_limiter: Optional[RateLimiter] = None,
 ) -> ServingHTTPServer:
     """Bind (but do not start) a serving server; ``port=0`` picks a free one."""
-    return ServingHTTPServer(
-        (host, port), store, default_model, fleet=fleet, rate_limiter=rate_limiter
-    )
+    return ServingHTTPServer((host, port), backend, default_model, rate_limiter=rate_limiter)
 
 
 def _artifact_name(spec: str) -> Tuple[str, str]:
@@ -717,11 +606,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         artifacts[name] = path
     default_model = next(iter(artifacts))
 
-    store: Optional[ModelStore] = None
-    fleet: Optional[FleetSupervisor] = None
     if args.shards >= 2:
+        topology = f"{args.shards} shard processes"
         try:
-            fleet = FleetSupervisor(
+            backend = FleetSupervisor(
                 artifacts,
                 FleetConfig(shards=args.shards, engine=config),
                 default_model=default_model,
@@ -729,38 +617,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, ValueError, RuntimeError) as error:
             parser.error(str(error))
     else:
-        store = ModelStore(capacity=args.capacity, config=config)
+        topology = "in-process engine"
+        backend = ModelStore(capacity=args.capacity, config=config)
         for name, path in artifacts.items():
             try:
-                store.register(name, path)
+                backend.register(name, path)
             except (OSError, ValueError) as error:
                 parser.error(str(error))
         # Load the default model eagerly: once /healthz answers,
         # /predict will not pay a cold model load.
-        store.get(default_model)
-
-    def close_backend() -> None:
-        if fleet is not None:
-            fleet.close()
-        if store is not None:
-            store.close()
+        backend.load(default_model)
 
     try:
         server = create_server(
-            store,
+            backend,
             default_model,
             host=args.host,
             port=args.port,
-            fleet=fleet,
             rate_limiter=_parse_rate_limits(args.rate_limit, parser),
         )
     except OSError as error:
-        close_backend()
+        backend.close()
         parser.error(str(error))
     host, port = server.server_address[:2]
-    backend = f"{args.shards} shard processes" if fleet is not None else "in-process engine"
     print(
-        f"serving {list(artifacts)} on http://{host}:{port} via {backend} "
+        f"serving {list(artifacts)} on http://{host}:{port} via {topology} "
         "(POST /predict, GET /healthz, GET /models, GET /metrics, "
         "POST /models/{name}/load|evict|ratelimit, POST /drain)",
         flush=True,
@@ -792,7 +673,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print("draining in-flight requests ...", flush=True)
     drained = server.drain()
     server.server_close()
-    close_backend()
+    backend.close()
     serve_thread.join(timeout=5.0)
     if not drained:
         print(f"drain timed out after {DRAIN_TIMEOUT_S}s; exiting anyway", file=sys.stderr)

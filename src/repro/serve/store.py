@@ -7,6 +7,8 @@ paths and materialises at most ``capacity`` engines at a time; fetching
 a registered-but-unloaded model loads it on the spot and evicts (and
 closes) the least-recently-used engine to make room.
 
+In-process serving and every fleet shard serve through a store.
+
 All operations are guarded by one lock, so the HTTP frontend's handler
 threads can share a store safely; the engines themselves serialise
 inference on their own scheduler threads.
@@ -19,9 +21,12 @@ from collections import OrderedDict
 from threading import Event, Lock
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.obs.registry import default_registry
 from repro.serve.artifact import read_artifact_meta
 from repro.serve.engine import EngineConfig, ServingEngine
+from repro.serve.errors import ServingError, UnknownModelError
 
 __all__ = ["ModelStore"]
 
@@ -103,7 +108,7 @@ class ModelStore:
                     self._engines.move_to_end(name)
                     return self._engines[name]
                 if name not in self._paths:
-                    raise KeyError(
+                    raise UnknownModelError(
                         f"no model named {name!r} is registered; available: {list(self._paths)}"
                     )
                 in_flight = self._loading.get(name)
@@ -117,9 +122,15 @@ class ModelStore:
 
         try:
             engine = ServingEngine(path, config=self.config, name=name)
-        except BaseException:
+        except BaseException as error:
             with self._lock:
                 self._loading.pop(name).set()
+            if isinstance(error, (OSError, ValueError, RuntimeError)):
+                # The registered artifact was deleted or corrupted on
+                # disk since registration.
+                raise ServingError(
+                    f"model {name!r} failed to load: {error}", code="unavailable"
+                ) from error
             raise
         evicted: List[ServingEngine] = []
         with self._lock:
@@ -144,25 +155,56 @@ class ModelStore:
             return self.get(name)
         return engine
 
-    def evict(self, name: str) -> bool:
+    def predict(self, inputs, model: str) -> np.ndarray:
+        """Logits for ``inputs`` from ``model``'s engine, loading it on demand.
+
+        An engine evicted between the lookup and the predict is fetched
+        once more, which reloads it; one still churning after that is a
+        capacity problem, reported as a retryable ``unavailable``.
+        """
+        for retry in (False, True):
+            engine = self.get(model)
+            try:
+                return engine.predict(inputs)
+            except RuntimeError as error:
+                if not engine.closed:
+                    raise
+                if retry:
+                    raise ServingError(str(error), code="unavailable", retryable=True) from error
+        raise AssertionError("unreachable: the retry loop returns or raises")
+
+    def load(self, name: str) -> Dict[str, object]:
+        """Warm ``name``'s engine (admin surface)."""
+        self.get(name)
+        return {"model": name, "ok": True}
+
+    def evict(self, name: str) -> Dict[str, object]:
         """Drop ``name``'s resident engine (admin surface; path stays registered).
 
-        Returns whether an engine was actually resident.  Raises
-        ``KeyError`` for a name that was never registered, so the HTTP
-        layer can distinguish 404 from an eviction of a cold model.
+        ``was_loaded`` reports whether an engine was actually resident;
+        the next :meth:`get` or :meth:`predict` reloads it.  Raises
+        :class:`~repro.serve.errors.UnknownModelError` for a name that
+        was never registered.
         """
         with self._lock:
             if name not in self._paths:
-                raise KeyError(
+                raise UnknownModelError(
                     f"no model named {name!r} is registered; available: {list(self._paths)}"
                 )
             engine = self._engines.pop(name, None)
             _M_RESIDENT.set(len(self._engines))
-        if engine is None:
-            return False
-        _M_ADMIN_EVICTIONS.inc()
-        engine.close()
-        return True
+        if engine is not None:
+            _M_ADMIN_EVICTIONS.inc()
+            engine.close()
+        return {"model": name, "ok": True, "was_loaded": engine is not None}
+
+    def health(self) -> Dict[str, object]:
+        """Residency for ``/healthz``: an in-process store is always live."""
+        return {"live": True, "loaded": self.loaded()}
+
+    def metrics_snapshot(self) -> Dict[str, object]:
+        """The process registry: engines, batchers, store and HTTP counters."""
+        return default_registry().snapshot()
 
     def queue_depth(self) -> int:
         """Requests queued across every resident engine (for ``/healthz``)."""

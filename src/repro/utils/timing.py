@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 def best_wall(work: Callable[[], Any], repeats: int = 5, warmup: int = 1) -> float:
@@ -23,28 +23,3 @@ def best_wall(work: Callable[[], Any], repeats: int = 5, warmup: int = 1) -> flo
         work()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-class Timer:
-    """Context-manager stopwatch.
-
-    Example
-    -------
-    >>> with Timer() as timer:
-    ...     _ = sum(range(1000))
-    >>> timer.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start: Optional[float] = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._start is not None:
-            self.elapsed = time.perf_counter() - self._start
-            self._start = None

@@ -7,12 +7,13 @@ processes: byte-identical serving, zero-loss failover when a shard is
 killed mid-batch (every orphaned request re-routed exactly once), the
 crash-loop circuit breaker, bounded-admission backpressure surfacing as
 ``503`` + ``Retry-After`` over HTTP, heartbeat-stall detection, CRC
-failover on corrupted replies, and graceful drain on close.
+failover on corrupted replies, and graceful drain on close.  The HTTP
+contract the fleet shares with in-process serving is tested once, for
+both backends, in ``test_serve.py``.
 
 Worker processes warm-spawn a real engine (~2s each), so fleets are
-booted sparingly: one shared no-chaos fleet serves the routing/HTTP
-tests, and each failure scenario boots exactly one small fleet of its
-own.
+booted sparingly: one shared no-chaos fleet serves the routing tests,
+and each failure scenario boots exactly one small fleet of its own.
 """
 
 from __future__ import annotations
@@ -268,9 +269,54 @@ class TestFleetServing:
         states = fleet.shard_states()
         assert [state["shard"] for state in states] == [0, 1]
         assert all(state["state"] == "live" for state in states)
+        assert fleet.health() == {"live": True, "loaded": ["model"], "shards": states}
         assert fleet.names() == ["model"]
         described = fleet.describe()
         assert described[0]["name"] == "model" and described[0]["loaded"]
+
+    def test_metrics_schema_identical_to_in_process(self, fleet, images):
+        """The /metrics contract does not change shape behind a fleet.
+
+        A 2-shard fleet snapshot must be the same ``repro-metrics/v1``
+        schema an in-process server serves: same format tag, same
+        per-kind key sets, and the per-shard worker instruments merged
+        into single aggregate series.
+        """
+        from repro.obs.registry import METRICS_FORMAT, default_registry
+
+        fleet.predict(images[:1])
+        snapshot = fleet.metrics_snapshot()
+        assert snapshot["format"] == METRICS_FORMAT
+        local = default_registry().snapshot()
+        kinds: dict = {}
+        for source in (snapshot, local):
+            for entry in source["instruments"]:
+                kinds.setdefault(entry["kind"], set()).add(tuple(sorted(entry)))
+        assert all(len(shapes) == 1 for shapes in kinds.values()), kinds
+        by_name = {
+            (entry["name"], tuple(sorted(entry["labels"].items()))): entry
+            for entry in snapshot["instruments"]
+        }
+        # Supervisor-side series and merged worker-side series coexist.
+        accepted = by_name[("fleet_requests_accepted_total", ())]
+        assert accepted["value"] >= 1
+        model_requests = by_name[("serve_model_requests_total", (("model", "model"),))]
+        assert model_requests["value"] >= 1
+        # One aggregate series per (name, labels): shards never leak
+        # their index into the public schema.
+        assert len(by_name) == len(snapshot["instruments"])
+
+    def test_evict_and_load_ack_per_shard(self, fleet, images, expected):
+        evicted = fleet.evict("model")
+        assert evicted == {"model": "model", "shards": {"0": True, "1": True}, "ok": True}
+        assert fleet.loaded() == []
+        # Each shard's store reloads the evicted model on demand.
+        np.testing.assert_array_equal(fleet.predict(images[:1]), expected[:1])
+        warmed = fleet.load("model")
+        assert warmed == {"model": "model", "shards": {"0": True, "1": True}, "ok": True}
+        assert fleet.loaded() == ["model"]
+        with pytest.raises(KeyError, match="no model named"):
+            fleet.evict("missing")
 
     def test_close_is_idempotent_and_final(self, sealed, images):
         pool = FleetSupervisor({"m": sealed}, FleetConfig(shards=1))
@@ -395,7 +441,7 @@ class TestFailover:
             retry_after_s=2.0,
         )
         with FleetSupervisor({"model": sealed}, config) as pool:
-            server = create_server(None, "model", fleet=pool)
+            server = create_server(pool, "model")
             thread = threading.Thread(target=server.serve_forever, daemon=True)
             thread.start()
             host, port = server.server_address[:2]
@@ -448,105 +494,6 @@ class TestFailover:
         for kind, value in outcomes:
             if kind == "ok":
                 assert value.shape == (1, 5)
-
-
-# ----------------------------------------------------------------------
-# HTTP frontend over the fleet (shared healthy fleet)
-# ----------------------------------------------------------------------
-class TestFleetHTTP:
-    @pytest.fixture(scope="class")
-    def server(self, fleet):
-        server = create_server(None, "model", fleet=fleet)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
-
-    @pytest.fixture(scope="class")
-    def client(self, server):
-        host, port = server.server_address[:2]
-        return HTTPClient(f"http://{host}:{port}", timeout=60.0)
-
-    def test_healthz_reports_shard_supervision(self, client):
-        health = client.healthz()
-        assert health["status"] == "ok"
-        assert health["models"] == ["model"] == health["loaded"]
-        assert [shard["shard"] for shard in health["shards"]] == [0, 1]
-        assert all(shard["state"] == "live" for shard in health["shards"])
-
-    def test_models_endpoint_lists_artifact_metadata(self, client):
-        models = client.models()["models"]
-        assert models[0]["name"] == "model"
-        assert models[0]["model_name"] == "resnet18"
-
-    def test_predict_round_trip_byte_identical(self, client, images, expected):
-        got = client.predict(images[3][None])
-        np.testing.assert_array_equal(got, expected[3][None])
-
-    def test_predict_empty_inputs(self, client):
-        assert client.predict([]).shape == (0, 5)
-
-    def test_bad_shape_is_400(self, client):
-        with pytest.raises(ServingError) as info:
-            client.predict(np.zeros((2, 1, 16, 16)))
-        assert info.value.status == 400
-        assert not info.value.retryable
-
-    def test_unknown_model_is_404(self, client, images):
-        with pytest.raises(ServingError) as info:
-            client.predict(images[:1], model="missing")
-        assert info.value.status == 404
-
-    def test_healthz_reports_draining_and_queue_depth(self, client):
-        health = client.healthz()
-        assert health["draining"] is False
-        assert isinstance(health["queue_depth"], int)
-
-    def test_metrics_schema_identical_to_in_process(self, client, images):
-        """The /metrics contract does not change shape behind a fleet.
-
-        A 2-shard fleet snapshot must be the same ``repro-metrics/v1``
-        schema an in-process server serves: same format tag, same
-        per-kind key sets, and the per-shard worker instruments merged
-        into single aggregate series.
-        """
-        from repro.obs.registry import METRICS_FORMAT, default_registry
-
-        client.predict(images[:1])
-        snapshot = client.metrics()
-        assert snapshot["format"] == METRICS_FORMAT
-        local = default_registry().snapshot()
-        kinds: dict = {}
-        for source in (snapshot, local):
-            for entry in source["instruments"]:
-                kinds.setdefault(entry["kind"], set()).add(tuple(sorted(entry)))
-        assert all(len(shapes) == 1 for shapes in kinds.values()), kinds
-        by_name = {
-            (entry["name"], tuple(sorted(entry["labels"].items()))): entry
-            for entry in snapshot["instruments"]
-        }
-        # Supervisor-side series and merged worker-side series coexist.
-        accepted = by_name[("fleet_requests_accepted_total", ())]
-        assert accepted["value"] >= 1
-        model_requests = by_name[("serve_model_requests_total", (("model", "model"),))]
-        assert model_requests["value"] >= 1
-        # One aggregate series per (name, labels): shards never leak
-        # their index into the public schema.
-        assert len(by_name) == len(snapshot["instruments"])
-
-    def test_admin_evict_and_load_over_http(self, client, images):
-        evicted = client.evict("model")
-        assert evicted["ok"] is True
-        assert evicted["shards"] == {"0": True, "1": True}
-        warmed = client.load("model")
-        assert warmed["ok"] is True
-        assert warmed["shards"] == {"0": True, "1": True}
-        got = client.predict(images[:1])  # serving works after the cycle
-        assert got.shape == (1, 5)
-        with pytest.raises(ServingError) as info:
-            client.evict("missing")
-        assert info.value.status == 404
 
 
 # ----------------------------------------------------------------------

@@ -412,28 +412,6 @@ class TestMetricsHTTP:
             client.evict("ghost")
         assert info.value.status == 404
 
-    def test_rate_limit_enforced_at_admission(self, client, images):
-        assert client.set_rate_limit("demo", rate_per_s=0.001, burst=1)["limit"] == {
-            "rate_per_s": 0.001,
-            "burst": 1,
-        }
-        try:
-            client.predict(images[:1])  # consumes the single token
-            with pytest.raises(ServingError) as info:
-                client.predict(images[:1])
-            assert info.value.status == 429
-            assert info.value.retryable  # the client's retry loop may wait
-            assert info.value.retry_after is not None and info.value.retry_after > 0
-        finally:
-            client.set_rate_limit("demo", rate_per_s=None)
-        client.predict(images[:1])  # cleared: admission is unlimited again
-
-    def test_healthz_reports_queue_depth(self, client):
-        health = client.healthz()
-        assert health["status"] == "ok"
-        assert health["draining"] is False
-        assert health["queue_depth"] == 0
-
 
 class TestDrainHTTP:
     def test_drain_reports_202_then_draining_healthz(self, tmp_path_factory):

@@ -4,8 +4,9 @@ Covers the sealed ``repro-model/v1`` artifact round-trip (dtype and
 packed-mask fidelity, byte-identical rebuilt predictions), the
 micro-batching scheduler's edge cases (single request under the wait
 budget, requests larger than ``max_batch``, empty inputs, concurrent
-clients, error delivery), the LRU model store, the stdlib HTTP frontend,
-and the export-best-point bridge from a finished sweep.
+clients, error delivery), the LRU model store, the stdlib HTTP frontend
+(one contract, checked against the in-process store and a 2-shard
+fleet), and the export-best-point bridge from a finished sweep.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ from repro.core.tickets import Ticket
 from repro.models.heads import ClassifierHead
 from repro.models.resnet import resnet18
 from repro.pruning.mask import magnitude_mask
+from repro.obs.registry import default_registry
 from repro.serve import (
     BatchingConfig,
     EngineConfig,
+    FleetConfig,
+    FleetSupervisor,
     HTTPClient,
     MicroBatcher,
     ModelStore,
@@ -444,35 +448,77 @@ class TestModelStore:
         assert entry["model_name"] == "resnet18"
         assert entry["num_classes"] == 4
 
+    def test_two_resident_models_record_separate_batch_series(self, tmp_path):
+        paths = self.make_artifacts(tmp_path, count=2)
+        store = ModelStore(capacity=2, config=EngineConfig(max_wait_ms=0.0))
+        names = ["series-a", "series-b"]
+        for name, path in zip(names, paths):
+            store.register(name, path)
+        try:
+            store.predict(np.zeros((1, 3, 16, 16)), "series-a")
+            store.predict(np.zeros((2, 3, 16, 16)), "series-b")
+            store.predict(np.zeros((2, 3, 16, 16)), "series-b")
+        finally:
+            store.close()
+        series = {
+            (entry["name"], entry["labels"].get("model")): entry
+            for entry in default_registry().snapshot()["instruments"]
+            if entry["name"].startswith("serve_batch_")
+        }
+        assert series[("serve_batch_requests_total", "series-a")]["value"] == 1
+        assert series[("serve_batch_requests_total", "series-b")]["value"] == 2
+        assert series[("serve_batch_occupancy_rows", "series-a")]["sum"] == 1
+        assert series[("serve_batch_occupancy_rows", "series-b")]["sum"] == 4
+        for name in names:
+            assert ("serve_batch_queue_depth", name) in series
 
-class TestServeHTTP:
-    @pytest.fixture(scope="class")
-    def server(self, sealed):
+
+@pytest.fixture(scope="class", params=["store", "fleet"])
+def http_backend(request, sealed):
+    """The module's artifact as ``demo`` behind each serving backend."""
+    if request.param == "store":
         store = ModelStore(capacity=2, config=EngineConfig(max_wait_ms=0.5))
         store.register("demo", sealed[0])
-        server = create_server(store, "demo", port=0)
+        store.load("demo")  # as ``python -m repro.serve`` does before listening
+        yield store
+        store.close()
+    else:
+        with FleetSupervisor({"demo": sealed[0]}, FleetConfig(shards=2)) as fleet:
+            yield fleet
+
+
+class TestServeHTTP:
+    """One HTTP contract, whichever backend serves it."""
+
+    @pytest.fixture(scope="class")
+    def server(self, http_backend):
+        server = create_server(http_backend, "demo", port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         yield server
         server.shutdown()
         server.server_close()
-        store.close()
 
     @pytest.fixture(scope="class")
     def client(self, server):
         host, port = server.server_address[:2]
-        return HTTPClient(f"http://{host}:{port}", timeout=30.0)
+        return HTTPClient(f"http://{host}:{port}", timeout=60.0, retry=RetryPolicy(attempts=1))
 
     def test_healthz(self, client):
         health = client.healthz()
         assert health["status"] == "ok"
+        assert health["draining"] is False
+        assert health["queue_depth"] == 0
         assert health["default_model"] == "demo"
-        assert "demo" in health["models"]
+        # The model is listed as loaded right after boot.
+        assert health["models"] == ["demo"] == health["loaded"]
 
     def test_models_endpoint_lists_artifact_metadata(self, client):
         (entry,) = client.models()["models"]
         assert entry["name"] == "demo"
+        assert entry["loaded"] is True
         assert entry["format"] == "repro-model/v1"
+        assert entry["model_name"] == "resnet18"
         assert entry["num_classes"] == 5
 
     def test_predict_round_trip_byte_identical(self, sealed, client, images):
@@ -487,8 +533,9 @@ class TestServeHTTP:
 
     def test_predict_bad_shape_is_400(self, client):
         with pytest.raises(ServingError) as info:
-            client.predict(np.zeros((2, 2)))
+            client.predict(np.zeros((2, 1, 16, 16)))
         assert info.value.status == 400
+        assert not info.value.retryable
 
     def test_predict_unknown_model_is_404(self, client, images):
         with pytest.raises(ServingError) as info:
@@ -498,6 +545,36 @@ class TestServeHTTP:
     def test_unknown_path_is_404(self, client):
         with pytest.raises(ServingError) as info:
             client._request("/nope")
+        assert info.value.status == 404
+
+    def test_rate_limited_request_is_429_with_retry_after(self, client, images):
+        assert client.set_rate_limit("demo", rate_per_s=0.001, burst=1)["limit"] == {
+            "rate_per_s": 0.001,
+            "burst": 1,
+        }
+        try:
+            client.predict(images[:1])  # consumes the single token
+            with pytest.raises(ServingError) as info:
+                client.predict(images[:1])
+            assert info.value.status == 429
+            assert info.value.retryable  # the client's retry loop may wait
+            assert info.value.retry_after is not None and info.value.retry_after >= 1
+        finally:
+            client.set_rate_limit("demo", rate_per_s=None)
+        client.predict(images[:1])  # cleared: admission is unlimited again
+
+    def test_evict_then_predict_reloads(self, sealed, client, images):
+        evicted = client.evict("demo")
+        assert evicted["action"] == "evict" and evicted["ok"] is True
+        assert client.healthz()["loaded"] == []
+        assert [entry["loaded"] for entry in client.models()["models"]] == [False]
+        # Still registered: the next predict reloads the sealed artifact.
+        expected = predict_logits(reference_model(sealed[1]), images)
+        np.testing.assert_array_equal(client.predict(images), expected)
+        assert client.load("demo")["ok"] is True
+        assert client.healthz()["loaded"] == ["demo"]
+        with pytest.raises(ServingError) as info:
+            client.evict("ghost")
         assert info.value.status == 404
 
 
@@ -756,14 +833,23 @@ class TestHTTPClientRetry:
         assert excinfo.value.retryable
         assert scripted_server.calls == 2  # bounded: attempts, not forever
 
-    def test_non_retryable_errors_fail_fast(self, scripted_server):
-        scripted_server.script.append((400, {}, {"error": "bad inputs"}))
+    @pytest.mark.parametrize(
+        "status, payload",
+        [
+            (400, {"error": "bad inputs"}),
+            # A 503 the server marks final (every breaker open).
+            (503, {"error": "bad inputs", "retryable": False}),
+        ],
+    )
+    def test_non_retryable_errors_fail_fast(self, scripted_server, status, payload):
+        scripted_server.script.append((status, {}, payload))
         slept = []
         client = HTTPClient(
             self.url(scripted_server), retry=RetryPolicy(attempts=3), sleep=slept.append
         )
         with pytest.raises(ServingError, match="bad inputs") as excinfo:
             client.healthz()
+        assert excinfo.value.status == status
         assert not excinfo.value.retryable
         assert scripted_server.calls == 1
         assert slept == []
