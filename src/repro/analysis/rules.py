@@ -624,7 +624,8 @@ class AdhocMetricsRule(Rule):
     The modules that :mod:`repro.obs` documents as instrumented (the
     serving stack, the fleet supervisor, the sweep runner and stores)
     must not grow side-channel telemetry: a hand-rolled counter dict
-    (``self._stats["crashes"] += 1``) is invisible to ``/metrics`` and
+    (``self._stats["crashes"] += 1``) or stats struct
+    (``self._stats.crashes += 1``) is invisible to ``/metrics`` and
     un-mergeable across shards, and a raw ``time.time()`` latency
     sample bypasses the histogram buckets the operations story reads
     percentiles from.  Declare an instrument in the module's registry
@@ -672,6 +673,16 @@ class AdhocMetricsRule(Rule):
                         f"hand-rolled counter self.{attribute}[...] in an "
                         "instrumented module; declare a registry counter so "
                         "/metrics and merge_snapshots see it",
+                    )
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                attribute = _self_attribute_root(node.target.value)
+                if attribute in self.COUNTER_ATTRS:
+                    yield self.finding(
+                        context,
+                        node,
+                        f"hand-rolled stats field self.{attribute}.{node.target.attr} "
+                        "in an instrumented module; record into a registry "
+                        "instrument and read stats() back from it",
                     )
 
 

@@ -33,7 +33,7 @@ from repro.serve.artifact import (
     export_artifact,
     load_artifact,
 )
-from repro.serve.batching import BatchingConfig, BatchStats, MicroBatcher, QueueFullError
+from repro.serve.batching import BatchingConfig, MicroBatcher, QueueFullError
 from repro.serve.client import HTTPClient, RetryPolicy
 from repro.serve.engine import EngineConfig, ServingEngine
 from repro.serve.errors import ServingError, UnknownModelError
@@ -55,7 +55,6 @@ __all__ = [
     "export_artifact",
     "load_artifact",
     "BatchingConfig",
-    "BatchStats",
     "MicroBatcher",
     "QueueFullError",
     "HTTPClient",

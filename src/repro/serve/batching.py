@@ -29,7 +29,6 @@ no locking no matter how many client threads submit concurrently.
 
 from __future__ import annotations
 
-import collections
 import queue
 import threading
 import time
@@ -40,14 +39,8 @@ import numpy as np
 
 from repro.obs.registry import default_registry
 from repro.serve.errors import RETRY_AFTER_S, ServingError
-from repro.tensor.dtypes import ACCUMULATION_DTYPE
 
-__all__ = ["BatchingConfig", "BatchStats", "MicroBatcher", "QueueFullError"]
-
-#: Ring-buffer size for per-request latency samples.  Percentiles are
-#: computed over the most recent window, so a long-lived server reports
-#: current behaviour rather than its lifetime average.
-LATENCY_WINDOW = 2048
+__all__ = ["BatchingConfig", "MicroBatcher", "QueueFullError"]
 
 _REGISTRY = default_registry()
 _M_QUEUE_DEPTH = _REGISTRY.gauge(
@@ -134,30 +127,6 @@ class BatchingConfig:
             raise ValueError(f"max_queue must be >= 0 (0 = unbounded), got {self.max_queue}")
 
 
-@dataclass
-class BatchStats:
-    """Counters the scheduler maintains (snapshot via :meth:`as_dict`)."""
-
-    requests: int = 0
-    rows: int = 0
-    batches: int = 0
-    coalesced_requests_max: int = 0
-    batch_rows_max: int = 0
-    errors: int = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        mean = self.rows / self.batches if self.batches else 0.0
-        return {
-            "requests": self.requests,
-            "rows": self.rows,
-            "batches": self.batches,
-            "coalesced_requests_max": self.coalesced_requests_max,
-            "batch_rows_max": self.batch_rows_max,
-            "batch_rows_mean": round(mean, 3),
-            "errors": self.errors,
-        }
-
-
 class _Pending:
     """One in-flight request: its rows plus the caller's completion gate."""
 
@@ -179,7 +148,8 @@ class MicroBatcher:
     return an array whose leading dimension matches it (zero-length
     input included).  It always runs on the scheduler thread.  ``name``
     is the ``model`` label of the batcher's instruments, so two
-    resident models never overwrite each other's series.
+    resident models never overwrite each other's series; batchers that
+    share a name share one series.
     """
 
     def __init__(
@@ -206,9 +176,6 @@ class MicroBatcher:
         self._queue: "queue.Queue[Optional[_Pending]]" = queue.Queue(
             maxsize=self.config.max_queue
         )
-        self._stats = BatchStats()
-        self._latencies_s: "collections.deque[float]" = collections.deque(maxlen=LATENCY_WINDOW)
-        self._stats_lock = threading.Lock()
         # Makes enqueueing and the shutdown sentinel mutually exclusive:
         # no request can slip into the queue *behind* the sentinel and
         # hang its caller forever.
@@ -256,28 +223,35 @@ class MicroBatcher:
         assert pending.result is not None
         return pending.result
 
-    def stats(self) -> Dict[str, float]:
-        """A snapshot of the scheduler's counters and latency percentiles.
+    def stats(self) -> Dict[str, Optional[float]]:
+        """This batcher's ``model=<name>`` registry series, as one dict.
 
-        ``latency_p50_ms`` / ``latency_p99_ms`` cover the most recent
-        :data:`LATENCY_WINDOW` requests, measured submit-to-result on
-        the monotonic clock; they are ``None`` while the window is empty
-        (no traffic is not the same thing as zero latency).  The whole
-        snapshot — counters *and* the latency window copy — is taken
-        under ``_stats_lock``, so the percentiles always describe the
-        same set of requests as the counters next to them.
+        A read-only view: every value comes from the ``serve_batch_*``
+        children the scheduler records into, so it is exactly what
+        ``/metrics`` serves for this name.  ``latency_p50_ms`` /
+        ``latency_p99_ms`` are the lifetime, bucket-interpolated
+        quantiles of ``serve_batch_coalesce_latency_s``; they are
+        ``None`` before any traffic (no traffic is not zero latency).
+        With metrics disabled every child is a no-op, so counts read
+        zero and the quantiles ``None``.
         """
-        with self._stats_lock:
-            snapshot = self._stats.as_dict()
-            samples = tuple(self._latencies_s)
-        if samples:
-            window = np.asarray(samples, dtype=ACCUMULATION_DTYPE) * 1000.0
-            snapshot["latency_p50_ms"] = round(float(np.percentile(window, 50)), 4)
-            snapshot["latency_p99_ms"] = round(float(np.percentile(window, 99)), 4)
-        else:
-            snapshot["latency_p50_ms"] = None
-            snapshot["latency_p99_ms"] = None
-        return snapshot
+        # ``_flush`` bumps requests before batches; reading in the
+        # reverse order keeps ``requests >= batches`` under concurrency.
+        batches = int(self._m_batches.read().get("value", 0))
+        requests = int(self._m_requests.read().get("value", 0))
+        occupancy = self._m_occupancy.read()
+        latency = self._m_coalesce.read()
+        rows = int(occupancy.get("sum", 0))
+        return {
+            "requests": requests,
+            "rows": rows,
+            "batches": batches,
+            "batch_rows_max": int(occupancy.get("max") or 0),
+            "batch_rows_mean": round(rows / batches, 3) if batches else 0.0,
+            "errors": int(self._m_errors.read().get("value", 0)),
+            "latency_p50_ms": _to_ms(latency.get("p50")),
+            "latency_p99_ms": _to_ms(latency.get("p99")),
+        }
 
     @property
     def queue_depth(self) -> int:
@@ -358,20 +332,6 @@ class MicroBatcher:
         # right after ``submit`` returns always includes the window
         # that served the request.
         completed = time.perf_counter()
-        with self._stats_lock:
-            self._stats.requests += len(window)
-            self._stats.rows += rows
-            self._stats.batches += 1
-            self._stats.coalesced_requests_max = max(
-                self._stats.coalesced_requests_max, len(window)
-            )
-            self._stats.batch_rows_max = max(self._stats.batch_rows_max, rows)
-            if failed:
-                self._stats.errors += 1
-            for pending in window:
-                self._latencies_s.append(completed - pending.enqueued)
-        # Registry instruments record outside ``_stats_lock``: each child
-        # carries its own lock, and ``stats()`` readers never touch them.
         self._m_requests.inc(len(window))
         self._m_batches.inc()
         self._m_occupancy.observe(rows)
@@ -382,3 +342,7 @@ class MicroBatcher:
             self._m_coalesce.observe(completed - pending.enqueued)
         for pending in window:
             pending.done.set()
+
+
+def _to_ms(seconds: Optional[float]) -> Optional[float]:
+    return None if seconds is None else round(seconds * 1000.0, 4)

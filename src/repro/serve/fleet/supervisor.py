@@ -36,7 +36,7 @@ import tempfile
 import threading
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -181,8 +181,6 @@ class FleetConfig:
     max_restarts: int = 5
     #: Sliding window the crash counter covers.
     restart_window_s: float = 30.0
-    #: ``Retry-After`` hint attached to saturation rejections.
-    retry_after_s: float = 1.0
     #: Handler threads per worker (requests coalesce in its batcher).
     handler_threads: int = 4
     #: Chaos spec for fault injection (None: read ``REPRO_CHAOS``).
@@ -463,13 +461,7 @@ class FleetSupervisor:
                 token,
                 slot.index,
                 sorted(self._artifacts.items()),
-                {
-                    "max_batch": self.config.engine.max_batch,
-                    "max_wait_ms": self.config.engine.max_wait_ms,
-                    "eval_batch_size": self.config.engine.eval_batch_size,
-                    "sanitize": self.config.engine.sanitize,
-                    "max_queue": self.config.engine.max_queue,
-                },
+                asdict(self.config.engine),
                 self._chaos_spec,
                 self.config.handler_threads,
             ),
@@ -806,7 +798,6 @@ class FleetSupervisor:
         live yet.
         """
         meta, payload = encode_array(pending.inputs)
-        retry_after = self.config.retry_after_s
         with self._lock:
             if self._closed:
                 raise FleetUnavailableError("fleet is closed")
@@ -825,8 +816,7 @@ class FleetSupervisor:
                 if admission:
                     self._metrics["rejected"].inc()
                     raise FleetSaturatedError(
-                        "no live shard can take new work right now (restarting)",
-                        retry_after=retry_after,
+                        "no live shard can take new work right now (restarting)"
                     )
                 self._parked.append(pending)
                 return
@@ -840,8 +830,7 @@ class FleetSupervisor:
                     self._metrics["rejected"].inc()
                     raise FleetSaturatedError(
                         f"all {len(live)} live shard(s) are at their pending bound "
-                        f"({self.config.max_pending_per_shard}); retry later",
-                        retry_after=retry_after,
+                        f"({self.config.max_pending_per_shard}); retry later"
                     )
                 live = open_slots
             slot = min(live, key=lambda candidate: len(candidate.link.pending))

@@ -480,7 +480,6 @@ def _artifact_name(spec: str) -> Tuple[str, str]:
 def _parse_rate_limits(specs, parser: argparse.ArgumentParser) -> RateLimiter:
     """Build the admission limiter from ``--rate-limit`` values."""
     default: Optional[RateLimit] = None
-    limiter = RateLimiter()
     named = {}
     for spec in specs:
         name, sep, rest = spec.rpartition("=")

@@ -292,6 +292,16 @@ class TestAdhocMetricsRule:
         findings = lint(source, "repro/serve/fleet/supervisor.py")
         assert [f.rule for f in findings] == ["adhoc-metrics"]
         assert "registry counter" in findings[0].message
+        # The stats-struct form: a field of a counter container.
+        source = """
+            class Batcher:
+                def flush(self, window):
+                    self._stats.requests += len(window)
+                    self.total += 1
+        """
+        findings = lint(source, "repro/serve/batching.py")
+        assert [f.rule for f in findings] == ["adhoc-metrics"]
+        assert "self._stats.requests" in findings[0].message
 
     def test_time_time_in_instrumented_core_module_flagged(self):
         source = "import time\nbegin = time.time()\n"

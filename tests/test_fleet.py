@@ -44,6 +44,7 @@ from repro.serve import (
     create_server,
     export_artifact,
 )
+from repro.serve.errors import RETRY_AFTER_S
 from repro.serve.fleet import chaos as chaos_mod
 from repro.serve.fleet.protocol import (
     ConnectionClosed,
@@ -438,7 +439,6 @@ class TestFailover:
             shards=1,
             chaos="delay-response:shard=*,ms=700",
             max_pending_per_shard=1,
-            retry_after_s=2.0,
         )
         with FleetSupervisor({"model": sealed}, config) as pool:
             server = create_server(pool, "model")
@@ -454,12 +454,12 @@ class TestFailover:
                 time.sleep(0.2)  # let the slow request occupy the only slot
                 with pytest.raises(FleetSaturatedError) as info:
                     pool.predict(images[1][None])
-                assert info.value.retry_after == 2.0
+                assert info.value.retry_after == RETRY_AFTER_S
                 with pytest.raises(ServingError) as http_info:
                     http.predict(images[1][None])
                 assert http_info.value.status == 503
                 assert http_info.value.retryable
-                assert http_info.value.retry_after == 2.0
+                assert http_info.value.retry_after == RETRY_AFTER_S
                 in_flight.join()
                 # Recovery: the slot freed, admission opens again.
                 got = pool.predict(images[1][None], timeout=30.0)
