@@ -1,8 +1,12 @@
 """The stdlib HTTP client of the serving frontend.
 
-:class:`HTTPClient` speaks the JSON protocol of :mod:`repro.serve.http`
-over ``urllib`` so smoke tests and scripts need no third-party HTTP
-library.
+:class:`HTTPClient` speaks the protocol of :mod:`repro.serve.http` over
+a small thread-safe pool of ``http.client`` keep-alive connections, so
+smoke tests and scripts need no third-party HTTP library.  ``predict``
+sends and receives ``application/x-repro-array`` bodies (the fleet's
+array codec: raw bytes plus dtype, shape and CRC32); every other route
+is JSON.  ``close()`` (or leaving a ``with`` block) closes the pooled
+connections.
 
 It retries what is worth retrying: connection errors (the server is
 restarting, a fleet shard pool is rebooting) and rejections the server
@@ -16,16 +20,25 @@ surfaces immediately as a :class:`ServingError` with
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
 import urllib.error
-import urllib.request
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
+from urllib.parse import urlsplit
 
 import numpy as np
 
 from repro.serve.errors import ServingError
+from repro.serve.fleet.protocol import (
+    ARRAY_CONTENT_TYPE,
+    decode_array,
+    encode_array,
+    pack_frame,
+    unpack_frame,
+)
 
 __all__ = ["HTTPClient", "RetryPolicy", "ServingError"]
 
@@ -71,6 +84,13 @@ class HTTPClient:
     ``retry`` configures the backoff loop (``RetryPolicy(attempts=1)``
     disables retrying entirely); ``sleep`` is injectable so tests can
     observe the chosen delays without waiting them out.
+
+    One client may be shared by many threads: each request checks a
+    keep-alive connection out of the pool (opening one when none is
+    idle) and returns it afterwards.  A pooled connection the server
+    closed while it sat idle is reopened once, outside the retry
+    budget; every other transport failure raises
+    ``urllib.error.URLError``.
     """
 
     def __init__(
@@ -84,62 +104,127 @@ class HTTPClient:
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self._sleep = sleep
+        url = urlsplit(self.base_url)
+        self._netloc = url.netloc
+        self._prefix = url.path
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._lock = threading.Lock()
+        self._idle: List[http.client.HTTPConnection] = []
+        self._closed = False
 
-    def _request_once(self, path: str, payload: Optional[dict] = None) -> dict:
-        url = f"{self.base_url}{path}"
-        data = None
-        headers = {}
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers)
+    # ------------------------------------------------------------------
+    # Connection pool
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Close every pooled connection (ones in use close when returned)."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "HTTPClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        return self._connection_class(self._netloc, timeout=self.timeout)
+
+    def _checkin(self, connection: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def _exchange(
+        self, path: str, body: Optional[bytes], content_type: str
+    ) -> Tuple[http.client.HTTPResponse, bytes]:
+        """GET ``path`` (or POST ``body``) on a pooled connection; the response and its body."""
+        method, headers = ("GET", {}) if body is None else ("POST", {"Content-Type": content_type})
+        connection = self._checkout()
+        # ``http.client`` reopens a closed connection (sock is None) by
+        # itself; only a connection that was already open can be stale.
+        reopen = connection.sock is not None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            raw = b""
-            try:
-                raw = error.read()
-            except OSError:
-                pass
-            try:
-                body = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                body = {}
-            message = body.get("error", str(error))
-            retry_after: Optional[float] = None
-            header = error.headers.get("Retry-After") if error.headers is not None else None
-            if header is not None:
+            while True:
                 try:
-                    retry_after = float(header)
-                except ValueError:
-                    retry_after = None
-            # The body's explicit flag wins: a 503 may say it is final.
-            retryable = body.get("retryable", error.code == 503)
-            raise ServingError(
-                f"HTTP {error.code}: {message}",
-                retryable=bool(retryable),
-                retry_after=retry_after,
-                status=error.code,
-            ) from error
+                    connection.request(method, self._prefix + path, body, headers)
+                    response = connection.getresponse()
+                    break
+                except ConnectionError:
+                    # Closed before any response byte: the server ended
+                    # the idle connection (keep-alive timeout, a drain).
+                    connection.close()
+                    if not reopen:
+                        raise
+                    reopen = False
+            return response, response.read()
+        except (OSError, http.client.HTTPException) as error:
+            connection.close()
+            raise urllib.error.URLError(error) from error
+        finally:
+            self._checkin(connection)
 
-    def _request(self, path: str, payload: Optional[dict] = None) -> dict:
+    # ------------------------------------------------------------------
+    # Requests
+    # ------------------------------------------------------------------
+    def _request_once(self, path: str, body: Optional[bytes], content_type: str) -> bytes:
+        """One round trip: the body of a 2xx reply, else a :class:`ServingError`."""
+        response, data = self._exchange(path, body, content_type)
+        if 200 <= response.status < 300:
+            return data
+        try:
+            payload = json.loads(data.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            payload = {}
+        message = payload.get("error", f"HTTP Error {response.status}: {response.reason}")
+        retry_after: Optional[float] = None
+        header = response.getheader("Retry-After")
+        if header is not None:
+            try:
+                retry_after = float(header)
+            except ValueError:
+                retry_after = None
+        # The body's explicit flag wins: a 503 may say it is final.
+        retryable = payload.get("retryable", response.status == 503)
+        raise ServingError(
+            f"HTTP {response.status}: {message}",
+            retryable=bool(retryable),
+            retry_after=retry_after,
+            status=response.status,
+        )
+
+    def _send(
+        self, path: str, body: Optional[bytes] = None, content_type: str = "application/json"
+    ) -> bytes:
         """One logical request: retries connection errors and retryable rejections."""
         for attempt in range(1, self.retry.attempts + 1):
             try:
-                return self._request_once(path, payload)
+                return self._request_once(path, body, content_type)
             except ServingError as error:
                 if not error.retryable or attempt == self.retry.attempts:
                     raise
                 self._sleep(self.retry.delay(attempt, error.retry_after))
-            except urllib.error.URLError as error:
-                # Connection refused/reset: the server (or its shard
-                # pool) is restarting.  HTTPError is a URLError
-                # subclass but was already converted above.
+            except urllib.error.URLError:
+                # Refused, reset or timed out: the server (or its shard
+                # pool) may be restarting.
                 if attempt == self.retry.attempts:
                     raise
                 self._sleep(self.retry.delay(attempt))
         raise AssertionError("unreachable: the retry loop returns or raises")
+
+    def _request(self, path: str, payload: Optional[dict] = None) -> dict:
+        """A JSON route: GET without ``payload``, else POST it as JSON."""
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        return json.loads(self._send(path, body).decode("utf-8"))
 
     def healthz(self) -> dict:
         return self._request("/healthz")
@@ -173,17 +258,16 @@ class HTTPClient:
         return self._request(f"/models/{model}/ratelimit", payload)
 
     def predict(self, inputs, model: Optional[str] = None) -> np.ndarray:
-        """POST ``/predict`` and return logits in the server's dtype.
+        """POST ``/predict`` as an array body; logits in the server's dtype.
 
-        The response carries the artifact's compute dtype, so casting
-        the JSON floats back yields arrays byte-identical to what the
-        engine computed.
+        Inputs and logits cross the wire as raw bytes with their dtype,
+        shape and CRC32, so the result is byte-identical to what the
+        engine computed (a zero-row result keeps its class dimension).
         """
-        payload: dict = {"inputs": np.asarray(inputs).tolist()}
+        meta, payload = encode_array(np.asarray(inputs))
         if model is not None:
-            payload["model"] = model
-        response = self._request("/predict", payload)
-        logits = np.asarray(response["logits"], dtype=response["dtype"])
-        # ``tolist`` flattens a zero-row result to ``[]``; the declared
-        # shape restores the class dimension of the empty-input contract.
-        return logits.reshape(response["shape"])
+            meta["model"] = model
+        body = self._send("/predict", pack_frame(meta, payload), ARRAY_CONTENT_TYPE)
+        header, logits = unpack_frame(body)
+        # ``frombuffer`` views are read-only; callers get their own array.
+        return decode_array(header, logits).copy()

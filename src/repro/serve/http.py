@@ -15,7 +15,11 @@ is one code path:
   text/plain``); under a fleet the supervisor merges every shard's
   snapshot, so the schema is identical to in-process serving;
 * ``POST /predict`` — JSON ``{"inputs": [[...]], "model": "name"?}`` ->
-  ``{"logits": [[...]], "dtype": ..., "shape": [...]}``;
+  ``{"logits": [[...]], "dtype": ..., "shape": [...]}``, or with
+  ``Content-Type: application/x-repro-array`` one packed array
+  (``[u32 header length][{"dtype", "shape", "crc", "model"?}][raw
+  bytes]``, the fleet frame without its outer length) answered the same
+  way; the response follows the request's format, errors stay JSON;
 * ``POST /models/{name}/load`` / ``POST /models/{name}/evict`` — warm
   or drop ``name``'s engine (every shard, under a fleet) without a
   restart;
@@ -25,12 +29,14 @@ is one code path:
 * ``POST /drain`` — begin the graceful drain an operator otherwise
   triggers with SIGTERM.
 
-Handler threads only parse/serialise JSON and block on the engine's
+Handler threads only decode/encode bodies and block on the engine's
 micro-batcher (or the fleet's routing table), so concurrent requests
 coalesce into shared forward passes exactly like in-process traffic.
 Responses carry the artifact's compute dtype and the logits' shape,
 which lets a client reconstruct the numpy result byte-identically
-(including zero-row responses).
+(including zero-row responses).  Connections are HTTP/1.1 keep-alive,
+with ``TCP_NODELAY`` so a reused connection never waits out the peer's
+delayed ACK.
 
 Every failure is a :class:`~repro.serve.errors.ServingError` whose code
 maps to an HTTP status in one table, answered as ``{"error": ...,
@@ -39,8 +45,9 @@ accident: a saturated pool (or a full micro-batcher queue) answers
 ``503`` with a ``Retry-After`` header, which
 :class:`~repro.serve.client.HTTPClient` honours in its retry loop.
 SIGTERM/SIGINT drain instead of dropping connections:
-the listener stops accepting, every in-flight request still gets its
-response, then the backend shuts down and the process exits.
+the listener stops accepting, idle keep-alive connections close, every
+in-flight request still gets its response, then the backend shuts down
+and the process exits.
 """
 
 from __future__ import annotations
@@ -51,11 +58,12 @@ import math
 import os
 import re
 import signal
+import socket
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 from urllib.parse import unquote, urlsplit
 
 import numpy as np
@@ -65,6 +73,13 @@ from repro.obs.registry import default_registry
 from repro.serve.admin import RateLimit, RateLimiter
 from repro.serve.engine import EngineConfig
 from repro.serve.errors import RETRY_AFTER_S, ServingError, UnknownModelError, as_serving_error
+from repro.serve.fleet.protocol import (
+    ARRAY_CONTENT_TYPE,
+    decode_array,
+    encode_array,
+    pack_frame,
+    unpack_frame,
+)
 from repro.serve.fleet.supervisor import FleetConfig, FleetSupervisor
 from repro.serve.store import ModelStore
 
@@ -142,9 +157,10 @@ class ServingBackend(Protocol):
 class ServingHTTPServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one serving backend.
 
-    The server counts in-flight connections so :meth:`drain` can stop
-    accepting and wait for every accepted request to finish — the
-    graceful half of SIGTERM handling.
+    The server counts in-flight requests (read, not yet answered) and
+    tracks idle keep-alive connections, so :meth:`drain` can stop
+    accepting, close the idle connections and wait for every accepted
+    request to finish — the graceful half of SIGTERM handling.
     """
 
     daemon_threads = True
@@ -166,6 +182,8 @@ class ServingHTTPServer(ThreadingHTTPServer):
         self._drain_requested = threading.Event()
         self._inflight = 0
         self._inflight_cv = threading.Condition()
+        #: Keep-alive connections waiting for their next request.
+        self._idle: Set[socket.socket] = set()
         self._draining = threading.Event()
 
     # ------------------------------------------------------------------
@@ -175,28 +193,63 @@ class ServingHTTPServer(ThreadingHTTPServer):
     def draining(self) -> bool:
         return self._draining.is_set()
 
-    def finish_request(self, request, client_address) -> None:
+    def park(self, connection: socket.socket) -> bool:
+        """Mark ``connection`` idle between requests; ``False`` once draining."""
         with self._inflight_cv:
+            if self._draining.is_set():
+                return False
+            self._idle.add(connection)
+            return True
+
+    def begin_request(self, connection: socket.socket, parked: bool) -> bool:
+        """Count a request whose line was just read; ``False`` means close instead.
+
+        A request on a parked connection that the drain already closed
+        is never answered: its client sees the connection close before
+        any response byte and may safely resend it elsewhere.
+        """
+        with self._inflight_cv:
+            if parked and connection not in self._idle:
+                return False
+            self._idle.discard(connection)
             self._inflight += 1
-        try:
-            super().finish_request(request, client_address)
-        finally:
-            with self._inflight_cv:
-                self._inflight -= 1
-                self._inflight_cv.notify_all()
+            return True
+
+    def end_request(self) -> None:
+        with self._inflight_cv:
+            self._inflight -= 1
+            self._inflight_cv.notify_all()
+
+    def unpark(self, connection: socket.socket) -> None:
+        """Forget ``connection`` (it is closing)."""
+        with self._inflight_cv:
+            self._idle.discard(connection)
+
+    def _begin_drain(self) -> None:
+        """Mark the server draining and close every idle keep-alive connection."""
+        with self._inflight_cv:
+            self._draining.set()
+            idle, self._idle = self._idle, set()
+        for connection in idle:
+            try:
+                # Wakes the handler blocked reading the next request;
+                # the handler thread closes the socket itself.
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def drain(self, timeout: float = DRAIN_TIMEOUT_S) -> bool:
-        """Stop accepting and wait for in-flight requests to complete.
+        """Stop accepting, close idle connections, wait for in-flight requests.
 
-        Returns ``True`` when every accepted request finished (its
+        Returns ``True`` when every request already read finished (its
         response flushed) within ``timeout``.  The backend is *not*
         closed here — the caller closes it after the drain so late
         responses still have an engine to come from.
         """
-        self._draining.set()
         # Stops ``serve_forever`` (must run on a different thread), so
         # no new connection is accepted while we wait.
         self.shutdown()
+        self._begin_drain()
         deadline = time.monotonic() + timeout
         with self._inflight_cv:
             while self._inflight:
@@ -209,10 +262,11 @@ class ServingHTTPServer(ThreadingHTTPServer):
     def request_drain(self) -> None:
         """Begin a graceful drain from an admin request (asynchronous).
 
-        Marks the server draining immediately — ``/healthz`` reports it
-        and every response starts closing its connection — then hands
-        off to ``on_drain`` (the CLI's stop event) when registered, or
-        runs :meth:`drain` on a background thread otherwise.  The
+        Marks the server draining immediately — ``/healthz`` reports
+        it, idle keep-alive connections close and every response closes
+        its connection — then hands off to ``on_drain`` (the CLI's stop
+        event) when registered, or runs :meth:`drain` on a background
+        thread otherwise.  The
         handler thread that received ``POST /drain`` must not run the
         drain itself: the drain waits for in-flight requests, which
         would include that very handler.
@@ -220,7 +274,7 @@ class ServingHTTPServer(ThreadingHTTPServer):
         if self._drain_requested.is_set():
             return
         self._drain_requested.set()
-        self._draining.set()
+        self._begin_drain()
         if self.on_drain is not None:
             self.on_drain()
         else:
@@ -231,16 +285,55 @@ class _Handler(BaseHTTPRequestHandler):
     server: ServingHTTPServer
 
     # Keep-alive responses require accurate Content-Length, which
-    # ``_send_json`` always sets.
+    # ``_send_body`` always sets.
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two writes: with Nagle on, every
+    # response on a reused connection would wait out the client's
+    # delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     #: Normalised route label for the HTTP request counter (set by the
     #: route dispatchers; admin routes collapse the model name).
     _route = "other"
+    #: Whether this connection sat idle waiting for its current request.
+    _parked = False
+    #: Whether the current request counts as in flight.
+    _counted = False
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         if os.environ.get("REPRO_SERVE_LOG"):
             super().log_message(format, *args)
+
+    # ------------------------------------------------------------------
+    # Keep-alive and in-flight accounting
+    # ------------------------------------------------------------------
+    def handle(self) -> None:
+        """Answer requests until the connection closes or the server drains."""
+        self.close_connection = True
+        try:
+            self.handle_one_request()
+            while not self.close_connection and self.server.park(self.connection):
+                self._parked = True
+                self.handle_one_request()
+        finally:
+            self.server.unpark(self.connection)
+
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        finally:
+            if self._counted:
+                self._counted = False
+                self.server.end_request()
+
+    def parse_request(self) -> bool:
+        # The request line has been read: from here it is in flight,
+        # unless the drain closed this idle connection first.
+        if not self.server.begin_request(self.connection, self._parked):
+            self.close_connection = True
+            return False
+        self._counted = True
+        return super().parse_request()
 
     # ------------------------------------------------------------------
     # Routes
@@ -309,17 +402,19 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             )
             return
+        binary = self.headers.get_content_type() == ARRAY_CONTENT_TYPE
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self._send_error(ServingError("request body must be a JSON object", code="bad-request"))
+            if binary:
+                header, payload = unpack_frame(body)
+                inputs, name = decode_array(header, payload), header.get("model")
+            else:
+                inputs, name = _read_json_body(body)
+        except (ServingError, ValueError) as error:
+            # A body that does not decode (``ProtocolError`` is a
+            # ``ValueError``) is ``bad-request``, never ``internal``.
+            self._send_error(as_serving_error(error))
             return
-        if not isinstance(payload, dict) or "inputs" not in payload:
-            self._send_error(
-                ServingError('request must carry an "inputs" field', code="bad-request")
-            )
-            return
-        name = payload.get("model") or self.server.default_model
+        name = name or self.server.default_model
         admitted, retry_after = self.server.rate_limiter.admit(name)
         if not admitted:
             _M_RATE_LIMITED.labelled(model=name).inc()
@@ -333,9 +428,13 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         try:
-            logits = self.server.backend.predict(payload["inputs"], name)
+            logits = self.server.backend.predict(inputs, name)
         except Exception as error:  # noqa: BLE001 - report, don't drop the socket
             self._send_error(as_serving_error(error))
+            return
+        if binary:
+            meta, payload = encode_array(logits)
+            self._send_body(200, pack_frame({**meta, "model": name}, payload), ARRAY_CONTENT_TYPE)
             return
         self._send_json(
             200,
@@ -451,6 +550,17 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
         self.end_headers()
         self.wfile.write(body)
+
+
+def _read_json_body(body: bytes) -> Tuple[object, Optional[str]]:
+    """``(inputs, model)`` of a JSON ``/predict`` body."""
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        raise ServingError("request body must be a JSON object", code="bad-request") from None
+    if not isinstance(payload, dict) or "inputs" not in payload:
+        raise ServingError('request must carry an "inputs" field', code="bad-request")
+    return payload["inputs"], payload.get("model")
 
 
 def create_server(

@@ -468,6 +468,7 @@ class TestFailover:
                 )
                 assert pool.stats()["rejected"] >= 2
             finally:
+                http.close()
                 server.shutdown()
                 server.server_close()
 

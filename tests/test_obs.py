@@ -337,9 +337,10 @@ class TestMetricsHTTP:
     @pytest.fixture(scope="class")
     def client(self, server):
         host, port = server.server_address[:2]
-        return HTTPClient(
+        with HTTPClient(
             f"http://{host}:{port}", timeout=30.0, retry=RetryPolicy(attempts=1)
-        )
+        ) as client:
+            yield client
 
     @pytest.fixture(scope="class")
     def images(self):

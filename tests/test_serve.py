@@ -11,16 +11,21 @@ fleet), and the export-best-point bridge from a finished sweep.
 
 from __future__ import annotations
 
+import gc
+import http.client
 import json
 import os
 import re
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import threading
 import time
 import urllib.error
+import urllib.request
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -47,6 +52,7 @@ from repro.serve import (
     export_artifact,
     load_artifact,
 )
+from repro.serve.fleet.protocol import ARRAY_CONTENT_TYPE, encode_array, pack_frame
 from repro.tensor import dtypes
 from repro.training.evaluation import predict_logits
 from repro.utils.seeding import seeded_rng
@@ -555,8 +561,36 @@ class TestServeHTTP:
 
     @pytest.fixture(scope="class")
     def client(self, server):
+        with HTTPClient(self.url(server), timeout=60.0, retry=RetryPolicy(attempts=1)) as client:
+            yield client
+
+    @staticmethod
+    def url(server) -> str:
         host, port = server.server_address[:2]
-        return HTTPClient(f"http://{host}:{port}", timeout=60.0, retry=RetryPolicy(attempts=1))
+        return f"http://{host}:{port}"
+
+    def post(self, server, body: bytes, content_type: str):
+        """A raw ``POST /predict`` as curl sends it: ``(status, Content-Type, body)``."""
+        request = urllib.request.Request(
+            self.url(server) + "/predict", data=body, headers={"Content-Type": content_type}
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=60.0) as response:
+                return response.status, response.headers.get_content_type(), response.read()
+        except urllib.error.HTTPError as error:
+            with error:
+                return error.code, error.headers.get_content_type(), error.read()
+
+    def predict_as(self, encoding: str, server, client, inputs) -> np.ndarray:
+        """``inputs`` through ``/predict`` as a binary ``HTTPClient`` call or raw JSON."""
+        if encoding == "binary":
+            return client.predict(inputs)
+        body = json.dumps({"inputs": np.asarray(inputs).tolist()}).encode("utf-8")
+        status, content_type, raw = self.post(server, body, "application/json")
+        assert (status, content_type) == (200, "application/json")
+        reply = json.loads(raw.decode("utf-8"))
+        assert sorted(reply) == ["dtype", "logits", "model", "shape"]
+        return np.asarray(reply["logits"], dtype=reply["dtype"]).reshape(reply["shape"])
 
     def test_healthz(self, client):
         health = client.healthz()
@@ -575,15 +609,112 @@ class TestServeHTTP:
         assert entry["model_name"] == "resnet18"
         assert entry["num_classes"] == 5
 
-    def test_predict_round_trip_byte_identical(self, sealed, client, images):
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("encoding", ["json", "binary"])
+    def test_predict_round_trip_byte_identical(
+        self, sealed, server, client, images, encoding, dtype
+    ):
         _, ticket = sealed
-        expected = predict_logits(reference_model(ticket), images)
-        served = client.predict(images)
+        inputs = images.astype(dtype)
+        expected = predict_logits(reference_model(ticket), inputs)
+        served = self.predict_as(encoding, server, client, inputs)
         assert served.dtype == expected.dtype
         np.testing.assert_array_equal(served, expected)
+        assert served.flags.writeable
 
-    def test_predict_empty_inputs(self, client):
-        assert client.predict([]).shape == (0, 5)
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("encoding", ["json", "binary"])
+    def test_predict_empty_inputs(self, server, client, encoding, dtype):
+        empty = np.zeros((0, 3, 16, 16), dtype=dtype)
+        assert self.predict_as(encoding, server, client, empty).shape == (0, 5)
+        if encoding == "binary":
+            assert client.predict([]).shape == (0, 5)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(b"\x00\x00", id="truncated-length"),
+            pytest.param(b"\x00\x00\x00\x40{}", id="truncated-header"),
+            pytest.param(pack_frame({})[:4] + b"{no", id="header-not-json"),
+            pytest.param(b"\x00\x00\x00\x02[]", id="header-not-object"),
+            pytest.param(pack_frame({"dtype": "float64"}, bytes(8)), id="missing-shape"),
+            pytest.param(pack_frame({"shape": [1]}, bytes(8)), id="missing-dtype"),
+            pytest.param(
+                pack_frame({**encode_array(np.ones(2))[0], "crc": 1}, np.ones(2).tobytes()),
+                id="crc-mismatch",
+            ),
+            pytest.param(
+                pack_frame({"dtype": "float64", "shape": [3]}, bytes(16)), id="size-mismatch"
+            ),
+            pytest.param(pack_frame(*encode_array(np.array(["ab"]))), id="not-numeric"),
+            pytest.param(pack_frame(*encode_array(np.ones(2, complex))), id="complex"),
+        ],
+    )
+    def test_malformed_array_body_is_400(self, server, body):
+        status, content_type, raw = self.post(server, body, ARRAY_CONTENT_TYPE)
+        assert (status, content_type) == (400, "application/json")
+        reply = json.loads(raw.decode("utf-8"))
+        assert reply["retryable"] is False and reply["error"]
+
+    def test_shared_client_returns_each_threads_own_logits(self, sealed, client):
+        model = reference_model(sealed[1])
+        inputs = [seeded_rng(100 + index).uniform(size=(2, 3, 16, 16)) for index in range(8)]
+        expected = [predict_logits(model, rows) for rows in inputs]
+        problems = []
+
+        def worker(index: int) -> None:
+            for _ in range(3):
+                served = client.predict(inputs[index])
+                if not np.array_equal(served, expected[index]):
+                    problems.append(index)
+
+        threads = [threading.Thread(target=worker, args=(index,)) for index in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the pool's check-out/check-in
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+
+    def test_keep_alive_connection_has_no_delayed_ack_stall(self, server):
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=60.0)
+        timings = []
+        try:
+            for _ in range(20):
+                begin = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                timings.append(time.perf_counter() - begin)
+                assert response.status == 200 and not response.will_close
+        finally:
+            connection.close()
+        # With Nagle on, each response on the reused connection waits
+        # for the client's delayed ACK: a 40 ms floor.
+        assert statistics.median(timings) < 0.015, timings
+
+    def test_close_releases_pooled_connections(self, server, images):
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with HTTPClient(self.url(server), retry=RetryPolicy(attempts=1)) as client:
+                threads = [
+                    threading.Thread(target=client.predict, args=(images[:1],)) for _ in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                assert client.healthz()["status"] == "ok"
+            del client, threads
+            gc.collect()
+        assert [str(warning.message) for warning in caught] == []
 
     def test_predict_bad_shape_is_400(self, client):
         with pytest.raises(ServingError) as info:
@@ -827,6 +958,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             self.send_header(key, value)
         self.end_headers()
         self.wfile.write(body)
+        # Ends the connection without announcing it, as an idle timeout does.
+        self.close_connection = self.server.close_after_reply
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         self._reply()
@@ -841,6 +974,7 @@ def scripted_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
     server.script = []
     server.calls = 0
+    server.close_after_reply = False
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -864,24 +998,23 @@ class TestHTTPClientRetry:
             ]
         )
         delays = []
-        client = HTTPClient(
+        with HTTPClient(
             self.url(scripted_server),
             retry=RetryPolicy(attempts=3, backoff_s=0.01, backoff_max_s=0.05, seed=0),
             sleep=delays.append,
-        )
-        assert client.healthz() == {"ok": True}
+        ) as client:
+            assert client.healthz() == {"ok": True}
         assert scripted_server.calls == 3
         # The server's Retry-After hint floors the jittered backoff.
         assert delays[0] >= 1.0 and delays[1] >= 2.0
 
     def test_gives_up_after_bounded_attempts(self, scripted_server):
         scripted_server.script.extend([(503, {}, {"error": "overloaded"})] * 5)
-        client = HTTPClient(
+        with HTTPClient(
             self.url(scripted_server),
             retry=RetryPolicy(attempts=2, backoff_s=0.0),
             sleep=lambda _s: None,
-        )
-        with pytest.raises(ServingError) as excinfo:
+        ) as client, pytest.raises(ServingError) as excinfo:
             client.healthz()
         assert excinfo.value.status == 503
         assert excinfo.value.retryable
@@ -898,14 +1031,25 @@ class TestHTTPClientRetry:
     def test_non_retryable_errors_fail_fast(self, scripted_server, status, payload):
         scripted_server.script.append((status, {}, payload))
         slept = []
-        client = HTTPClient(
+        with HTTPClient(
             self.url(scripted_server), retry=RetryPolicy(attempts=3), sleep=slept.append
-        )
-        with pytest.raises(ServingError, match="bad inputs") as excinfo:
+        ) as client, pytest.raises(ServingError, match="bad inputs") as excinfo:
             client.healthz()
         assert excinfo.value.status == status
         assert not excinfo.value.retryable
         assert scripted_server.calls == 1
+        assert slept == []
+
+    def test_stale_pooled_connection_reopens_outside_the_retry_budget(self, scripted_server):
+        scripted_server.close_after_reply = True
+        slept = []
+        with HTTPClient(
+            self.url(scripted_server), retry=RetryPolicy(attempts=1), sleep=slept.append
+        ) as client:
+            assert client.healthz() == {"ok": True}
+            # The pooled connection is closed: reopened once, not retried.
+            assert client.healthz() == {"ok": True}
+        assert scripted_server.calls == 2
         assert slept == []
 
     def test_connection_errors_retry_then_raise(self):
@@ -940,7 +1084,107 @@ class TestHTTPClientRetry:
             RetryPolicy(backoff_s=-1.0)
 
 
+class _GatedBackend:
+    """A stub backend whose ``predict`` blocks until ``release`` is set."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def predict(self, inputs, model: str) -> np.ndarray:
+        self.entered.set()
+        self.release.wait(30.0)
+        return np.zeros((len(inputs), 2))
+
+    def names(self):
+        return ["stub"]
+
+    def health(self) -> dict:
+        return {"live": True, "loaded": ["stub"]}
+
+    def queue_depth(self) -> int:
+        return 0
+
+
 class TestGracefulShutdown:
+    def test_drain_answers_read_requests_and_closes_idle_connections(self):
+        backend = _GatedBackend()
+        server = create_server(backend, "stub", port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address[:2]
+        busy = http.client.HTTPConnection(host, port, timeout=30.0)
+        idle = http.client.HTTPConnection(host, port, timeout=30.0)
+        drained = []
+        try:
+            idle.request("GET", "/healthz")
+            assert idle.getresponse().read()  # now an idle keep-alive connection
+            busy.request(
+                "POST",
+                "/predict",
+                body=b'{"inputs": [[0.0]]}',
+                headers={"Content-Type": "application/json"},
+            )
+            assert backend.entered.wait(30.0)
+            drainer = threading.Thread(target=lambda: drained.append(server.drain(timeout=30.0)))
+            drainer.start()
+            deadline = time.monotonic() + 30.0
+            while not server.draining and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.draining and drained == []  # waiting on the read request
+            # The drain closed the idle connection instead of answering 503.
+            with pytest.raises(ConnectionError):
+                idle.request("GET", "/healthz")
+                idle.getresponse()
+            # The request read before the drain still gets its answer.
+            backend.release.set()
+            response = busy.getresponse()
+            assert response.status == 200
+            assert response.getheader("Connection") == "close"
+            assert json.loads(response.read())["shape"] == [1, 2]
+            drainer.join(30.0)
+            assert drained == [True]
+        finally:
+            backend.release.set()
+            busy.close()
+            idle.close()
+            server.server_close()
+
+    def test_sigterm_with_an_idle_keep_alive_connection_exits_promptly(self, sealed):
+        """An idle keep-alive client must not hold the drain open."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--artifact", f"model={sealed[0]}", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        connection = None
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"http://([\d.]+):(\d+)", banner)
+            assert match, f"unexpected server banner: {banner!r}"
+            connection = http.client.HTTPConnection(match.group(1), int(match.group(2)), timeout=30.0)
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200 and not response.will_close
+            response.read()
+            began = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            output, _ = proc.communicate(timeout=15.0)
+            elapsed = time.monotonic() - began
+        finally:
+            if connection is not None:
+                connection.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, output
+        assert "drained; bye" in output
+        assert elapsed < 10.0
+
     def test_sigterm_under_load_drains_and_exits_zero(self, sealed):
         """SIGTERM mid-load: every accepted request is answered, exit 0.
 
