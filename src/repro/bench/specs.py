@@ -30,7 +30,7 @@ from repro.pruning.compact import compact
 from repro.pruning.mask import magnitude_mask
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.serve.artifact import export_artifact
-from repro.serve.batching import BatchingConfig, MicroBatcher
+from repro.serve.batching import MicroBatcher
 from repro.serve.engine import EngineConfig, ServingEngine
 from repro.serve.fleet import FleetConfig, FleetSupervisor
 from repro.tensor import Tensor, conv2d, cross_entropy, no_grad
@@ -296,13 +296,11 @@ def _serve_setup() -> Dict[str, Any]:
 
 
 def _serve_payload(state) -> Dict[str, Any]:
-    # max_batch equals the client count so a window closes the moment
-    # every in-flight client is aboard (the tuned serving profile); the
-    # measured quantity is scheduler coalesce/fan-out overhead.
-    # Batchers sharing a name share one registry series, so the batches
-    # this run flushed are the difference across its drive.
-    config = BatchingConfig(max_batch=_SERVE_CLIENTS, max_wait_ms=5.0)
-    with MicroBatcher(state["batch_fn"], config) as batcher:
+    # The shipped defaults; the measured quantity is scheduler
+    # coalesce/fan-out overhead.  Batchers sharing a name share one
+    # registry series, so the batches this run flushed are the
+    # difference across its drive.
+    with MicroBatcher(state["batch_fn"]) as batcher:
         before = batcher.stats()["batches"]
         elapsed, failures = _drive(
             batcher.submit, state["samples"], _SERVE_CLIENTS, _SERVE_REQUESTS
@@ -329,9 +327,8 @@ register(
         # suite measures; a real scheduler regression is a lost window
         # (2x+), so the band is wide.
         tolerance=1.5,
-        # Bound by thread handoffs and the max_wait_ms window, which do
-        # not scale with CPU speed — gate on raw seconds, not on
-        # calibration-normalised units.
+        # Bound by thread handoffs, which do not scale with CPU speed —
+        # gate on raw seconds, not on calibration-normalised units.
         timebase="wall",
     )
 )
@@ -379,7 +376,6 @@ def _fleet_payload(state) -> Dict[str, Any]:
     """
     config = FleetConfig(
         shards=2,
-        engine=EngineConfig(max_batch=_FLEET_CLIENTS, max_wait_ms=2.0),
         chaos=f"kill-shard:shard=0,after={_FLEET_KILL_AFTER}",
     )
     latency = Histogram()
@@ -754,11 +750,10 @@ def _engine_batching_payload(state) -> Dict[str, Any]:
     total = _BATCH_CLIENTS * _BATCH_REQUESTS
     rates = {}
     # One request at a time: ``max_batch=1`` and a single closed loop.
-    # Batched: ``max_batch`` equals the client count, so a window closes
-    # the moment every in-flight client is aboard.
+    # Batched: the shipped defaults.
     for label, config, clients in (
         ("single", EngineConfig(max_batch=1, max_wait_ms=0.0), 1),
-        ("batched", EngineConfig(max_batch=_BATCH_CLIENTS, max_wait_ms=5.0), _BATCH_CLIENTS),
+        ("batched", EngineConfig(), _BATCH_CLIENTS),
     ):
         with ServingEngine(state["artifact"], config) as engine:
             engine.predict(samples[:1])  # warm the forward path
@@ -788,9 +783,9 @@ register(
         payload=_engine_batching_payload,
         metrics=("speedup", "single_requests_per_s", "batched_requests_per_s"),
         repeats=5,
-        # Like serve.microbatch: bound by thread handoffs and the wait
-        # window, so raw seconds and a wide band; the in-payload 2x
-        # contract is the real gate.
+        # Like serve.microbatch: bound by thread handoffs, so raw
+        # seconds and a wide band; the in-payload 2x contract is the
+        # real gate.
         tolerance=1.5,
         timebase="wall",
     )

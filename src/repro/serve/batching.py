@@ -5,15 +5,21 @@ numpy inference path is dramatically more efficient per sample on large
 batches (one im2col GEMM instead of N tiny ones).  :class:`MicroBatcher`
 closes that gap: caller threads submit request tensors and block; a
 single scheduler thread pulls requests off the queue, coalesces them
-until the window holds ``max_batch`` rows or ``max_wait_ms`` has passed
-since the first request, runs the whole window through the batch
-function **once**, and distributes the result slices back to the
-waiting callers.
+into a window, runs the whole window through the batch function
+**once**, and distributes the result slices back to the waiting
+callers.
 
 Scheduling rules:
 
-* a lone request never waits longer than ``max_wait_ms`` — under light
-  traffic latency is bounded by the wait budget, not by batch filling;
+* a window closes as soon as it holds one request per caller blocked
+  in :meth:`MicroBatcher.submit` (then it also takes whatever is
+  already queued, without waiting), so a lone request runs at once and
+  concurrent callers still ride one window.  A caller counts from the
+  moment its request is enqueued until it leaves ``submit``, served or
+  not;
+* ``max_batch`` rows and ``max_wait_ms`` after the window's first
+  request are the ceilings: a window waits for a counted caller that
+  does not come back (one already served, say) at most ``max_wait_ms``;
 * requests are never split: one larger than ``max_batch`` closes its
   window immediately and runs alone (the batch function chunks
   internally);
@@ -105,7 +111,8 @@ class BatchingConfig:
     """Coalescing policy of a :class:`MicroBatcher`.
 
     ``max_batch`` caps the rows in one window; ``max_wait_ms`` bounds
-    how long the first request of a window waits for company.  With
+    how long the first request of a window waits for the other callers
+    blocked in ``submit``; with none, it does not wait at all.  With
     ``max_batch=1`` (or ``max_wait_ms=0`` under serial traffic) the
     batcher degrades to one-request-at-a-time processing, which is the
     baseline the serving benchmark compares against.  ``max_queue``
@@ -181,6 +188,12 @@ class MicroBatcher:
         # hang its caller forever.
         self._submit_lock = threading.Lock()
         self._closed = False
+        # Callers between a successful enqueue and their exit from
+        # ``submit``: a window holding this many requests stops waiting.
+        # Its own lock, because the scheduler must never wait for
+        # ``_submit_lock`` (``close`` holds it across a blocking put).
+        self._in_submit = 0
+        self._in_submit_lock = threading.Lock()
         self._thread = threading.Thread(
             target=self._run, name="repro-serve-batcher", daemon=True
         )
@@ -211,17 +224,23 @@ class MicroBatcher:
                     f"micro-batcher queue is full ({self.config.max_queue} requests "
                     "queued); retry later or raise BatchingConfig.max_queue"
                 ) from None
-        self._m_queue_depth.set(self._queue.qsize())  # repro: ignore[lock-discipline] -- qsize() is Queue's own locked read; the gauge is advisory
-        if not pending.done.wait(timeout):
-            self._m_timeouts.inc()
-            raise TimeoutError(
-                f"request ({pending.rows} rows) not served within {timeout}s; "
-                "it stays queued and its result will be discarded"
-            )
-        if pending.error is not None:
-            raise pending.error
-        assert pending.result is not None
-        return pending.result
+            with self._in_submit_lock:
+                self._in_submit += 1
+        try:
+            self._m_queue_depth.set(self._queue.qsize())  # repro: ignore[lock-discipline] -- qsize() is Queue's own locked read; the gauge is advisory
+            if not pending.done.wait(timeout):
+                self._m_timeouts.inc()
+                raise TimeoutError(
+                    f"request ({pending.rows} rows) not served within {timeout}s; "
+                    "it stays queued and its result will be discarded"
+                )
+            if pending.error is not None:
+                raise pending.error
+            assert pending.result is not None
+            return pending.result
+        finally:
+            with self._in_submit_lock:
+                self._in_submit -= 1
 
     def stats(self) -> Dict[str, Optional[float]]:
         """This batcher's ``model=<name>`` registry series, as one dict.
@@ -285,7 +304,7 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def _run(self) -> None:
         while True:
-            head = self._queue.get()  # repro: ignore[lock-discipline] -- SimpleQueue is thread-safe; the scheduler consumes lock-free by design
+            head = self._queue.get()  # repro: ignore[lock-discipline] -- queue.Queue locks internally; the scheduler consumes lock-free by design
             if head is None:
                 return
             window = [head]
@@ -296,8 +315,12 @@ class MicroBatcher:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
+                # Once every caller blocked in submit is aboard, take
+                # what is already queued but wait for nobody.
+                with self._in_submit_lock:
+                    aboard = len(window) >= self._in_submit
                 try:
-                    item = self._queue.get(timeout=remaining)  # repro: ignore[lock-discipline] -- SimpleQueue is thread-safe; the scheduler consumes lock-free by design
+                    item = self._queue.get(block=not aboard, timeout=remaining)  # repro: ignore[lock-discipline] -- queue.Queue locks internally; the scheduler consumes lock-free by design
                 except queue.Empty:
                     break
                 if item is None:

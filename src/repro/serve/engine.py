@@ -65,7 +65,8 @@ class EngineConfig:
 
     #: Rows one micro-batch may coalesce before it runs.
     max_batch: int = 64
-    #: How long the first request of a window waits for company.
+    #: Longest the first request of a window waits for the other
+    #: callers in flight; a lone request does not wait.
     max_wait_ms: float = 2.0
     #: Chunk size of the forward pass (matches ``predict_logits``).
     eval_batch_size: int = 64

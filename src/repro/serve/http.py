@@ -657,7 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         metavar="MS",
-        help="wait budget of a lone request before its batch runs (default: 2.0)",
+        help="longest a batch waits for the other requests in flight; a lone "
+        "request does not wait (default: 2.0)",
     )
     parser.add_argument(
         "--eval-batch-size",

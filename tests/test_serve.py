@@ -185,7 +185,7 @@ class TestMicroBatcher:
             calls.append(batch.shape[0])
             return batch * 2.0
 
-        config = BatchingConfig(max_batch=64, max_wait_ms=20.0)
+        config = BatchingConfig(max_batch=64, max_wait_ms=10_000.0)
         with MicroBatcher(batch_fn, config, name="lone-request") as batcher:
             start = time.monotonic()
             result = batcher.submit(np.ones((3, 2)))
@@ -194,8 +194,9 @@ class TestMicroBatcher:
             stats = batcher.stats()
         assert calls == [3]
         assert stats["batches"] == 1 and stats["requests"] == 1
-        # The lone request waits at most the budget, not for a full batch.
-        assert elapsed < 5.0
+        # No other caller is blocked in submit, so the window closes at
+        # once instead of waiting out the 10 s budget.
+        assert elapsed < 2.0
 
     def test_request_larger_than_max_batch_runs_alone(self):
         seen = []
@@ -215,10 +216,20 @@ class TestMicroBatcher:
         assert result.shape == (0, 4)
 
     def test_concurrent_requests_coalesce_and_fan_back_correctly(self):
+        clients = 6
+        first_window = threading.Event()
+
         def batch_fn(batch):
+            if not first_window.is_set():
+                # Hold the first window until every other client is
+                # queued behind it, so the burst coalesces on any host.
+                first_window.set()
+                waiting = clients - batch.shape[0] // 2
+                deadline = time.monotonic() + 10.0
+                while batcher.queue_depth < waiting and time.monotonic() < deadline:
+                    time.sleep(0.001)
             return batch * 10.0
 
-        clients = 6
         barrier = threading.Barrier(clients)
         results = {}
 
@@ -237,8 +248,46 @@ class TestMicroBatcher:
         for index in range(clients):
             np.testing.assert_array_equal(results[index], np.full((2, 3), index * 10.0))
         assert stats["requests"] == clients
-        # The generous wait window must have coalesced at least one pair.
+        # The clients queued behind the first window ride one together.
         assert stats["requests"] > stats["batches"]
+
+    def test_callers_queued_behind_a_held_window_ride_the_next_one_at_once(self):
+        entered = threading.Event()
+        release = threading.Event()
+        calls = []
+
+        def batch_fn(batch):
+            calls.append(batch.shape[0])
+            entered.set()
+            release.wait(10.0)
+            return batch
+
+        config = BatchingConfig(max_batch=64, max_wait_ms=10_000.0)
+        with MicroBatcher(batch_fn, config, name="held-window") as batcher:
+            start = time.monotonic()
+            # The held window's own caller gives up and leaves submit.
+            with pytest.raises(TimeoutError, match="not served"):
+                batcher.submit(np.ones((1, 2)), timeout=0.2)
+            assert entered.wait(5.0)
+            threads = [
+                threading.Thread(target=batcher.submit, args=(np.ones((1, 2)),))
+                for _ in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 5.0
+            while batcher.queue_depth < 3:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            release.set()
+            for thread in threads:
+                thread.join(5.0)
+            assert not any(thread.is_alive() for thread in threads)
+            elapsed = time.monotonic() - start
+        # The three queued callers are every caller blocked in submit:
+        # their window closes as soon as it holds them, not after 10 s.
+        assert calls == [1, 3]
+        assert elapsed < 5.0
 
     def test_errors_reach_every_caller_and_scheduler_survives(self):
         state = {"fail": True}
@@ -926,6 +975,76 @@ class TestMicroBatcherOverload:
             result = batcher.submit(np.full((1, 3), 2.0), timeout=5.0)
             np.testing.assert_array_equal(result, np.full((1, 3), 4.0))
             assert 2 in served_rows
+
+    def test_rejected_and_timed_out_callers_leave_no_one_to_wait_for(self):
+        entered = threading.Event()
+        release = threading.Event()
+
+        def batch_fn(batch):
+            entered.set()
+            release.wait(10.0)
+            return batch
+
+        config = BatchingConfig(max_batch=64, max_wait_ms=10_000.0, max_queue=1)
+        with MicroBatcher(batch_fn, config, name="no-leaked-callers") as batcher:
+            with pytest.raises(TimeoutError, match="not served"):
+                batcher.submit(np.ones((1, 2)), timeout=0.2)
+            assert entered.wait(5.0)
+            queued = threading.Thread(target=batcher.submit, args=(np.ones((1, 2)),))
+            queued.start()
+            deadline = time.monotonic() + 5.0
+            while batcher.queue_depth < 1:  # the lone queue slot fills
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            with pytest.raises(QueueFullError, match="max_queue"):
+                batcher.submit(np.ones((1, 2)))
+            release.set()
+            queued.join(5.0)
+            assert not queued.is_alive()
+            # Neither the timeout nor the rejection still counts as a
+            # caller: a lone request runs at once, not after 10 s.
+            start = time.monotonic()
+            np.testing.assert_array_equal(batcher.submit(np.ones((1, 2))), np.ones((1, 2)))
+            assert time.monotonic() - start < 2.0
+
+    def test_caller_count_returns_to_zero_after_a_storm(self):
+        # More submitters than cores leave submit every way there is (a
+        # result, a rejection, a timeout) with the interpreter switching
+        # threads as often as it can: a lost update leaves the count off
+        # zero.
+        def batch_fn(batch):
+            time.sleep(0.001)
+            return batch
+
+        outcomes = []
+
+        def submitter(index):
+            for request in range(40):
+                timeout = 1e-4 if (index + request) % 4 == 0 else None
+                try:
+                    batcher.submit(np.ones((1, 2)), timeout=timeout)
+                    outcomes.append("served")
+                except QueueFullError:
+                    outcomes.append("rejected")
+                except TimeoutError:
+                    outcomes.append("timed out")
+
+        config = BatchingConfig(max_batch=4, max_wait_ms=5.0, max_queue=2)
+        with MicroBatcher(batch_fn, config, name="caller-count-storm") as batcher:
+            threads = [threading.Thread(target=submitter, args=(i,)) for i in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            with batcher._in_submit_lock:
+                assert batcher._in_submit == 0
+        assert len(outcomes) == 8 * 40 and "served" in outcomes
 
     def test_negative_max_queue_rejected(self):
         with pytest.raises(ValueError, match="max_queue"):
