@@ -6,6 +6,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.attacks.pgd import input_only_backward
 from repro.nn.module import Module
 from repro.tensor import Tensor, cross_entropy, default_dtype
 
@@ -23,7 +24,11 @@ def fgsm_attack(
 
     The model is evaluated in its current train/eval mode; callers should
     normally put it in ``eval()`` first so batch-norm uses running
-    statistics.
+    statistics.  The backward pass is input-only, as in
+    :func:`~repro.attacks.pgd.pgd_attack`: the model's parameters, their
+    ``requires_grad`` flags and their ``.grad`` buffers are left as the
+    caller had them, and no other thread may use the model during the
+    attack, because it flips ``requires_grad`` on the shared parameters.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
@@ -31,14 +36,10 @@ def fgsm_attack(
         return np.asarray(images, dtype=default_dtype()).copy()
 
     inputs = Tensor(np.asarray(images, dtype=default_dtype()), requires_grad=True)
-    logits = model(inputs)
-    loss = loss_fn(logits, labels)
-    loss.backward()
+    with input_only_backward(model):
+        loss = loss_fn(model(inputs), labels)
+        loss.backward()
     if inputs.grad is None:
         raise RuntimeError("input gradient was not populated; is the model differentiable?")
     adversarial = inputs.data + epsilon * np.sign(inputs.grad)
-    # Parameter gradients accumulated as a side effect must not leak into
-    # any surrounding training step.
-    for parameter in model.parameters():
-        parameter.grad = None
     return np.clip(adversarial, clip_min, clip_max)

@@ -7,8 +7,9 @@ adversarial training objective (Eq. 1 of the paper).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -57,8 +58,12 @@ def pgd_attack(
 ) -> np.ndarray:
     """Craft PGD adversarial examples for ``images`` under ``config``.
 
-    Returns a new array; the model parameters' gradients are left
-    untouched (they are cleared after each inner step).
+    Returns a new array.  The backward pass is input-only (see
+    :func:`input_only_backward`): no parameter gradient is computed, so
+    the model's parameters, their ``requires_grad`` flags and their
+    ``.grad`` buffers are left as the caller had them.  The attack flips
+    ``requires_grad`` on the model's shared parameters while it runs, so
+    no other thread may use the model during an attack.
     """
     images = np.asarray(images, dtype=default_dtype())
     if config.epsilon <= 0 or config.steps <= 0:
@@ -74,25 +79,39 @@ def pgd_attack(
         delta = np.zeros_like(images)
     adversarial = np.clip(images + delta, clip_min, clip_max)
 
-    for _ in range(config.steps):
-        inputs = Tensor(adversarial, requires_grad=True)
-        logits = model(inputs)
-        loss = loss_fn(logits, labels)
-        # The attack only needs input gradients; parameter gradients that
-        # accumulate as a side effect are cleared below to avoid polluting
-        # any surrounding training step.
-        loss.backward()
-        gradient = inputs.grad
-        if gradient is None:
-            raise RuntimeError("input gradient was not populated during PGD")
-        adversarial = adversarial + step_size * np.sign(gradient)
-        adversarial = np.clip(adversarial, images - config.epsilon, images + config.epsilon)
-        adversarial = np.clip(adversarial, clip_min, clip_max)
-
-    _clear_parameter_gradients(model)
+    with input_only_backward(model):
+        for _ in range(config.steps):
+            inputs = Tensor(adversarial, requires_grad=True)
+            loss = loss_fn(model(inputs), labels)
+            loss.backward()
+            gradient = inputs.grad
+            if gradient is None:
+                raise RuntimeError("input gradient was not populated during PGD")
+            adversarial = adversarial + step_size * np.sign(gradient)
+            adversarial = np.clip(adversarial, images - config.epsilon, images + config.epsilon)
+            adversarial = np.clip(adversarial, clip_min, clip_max)
     return adversarial
 
 
-def _clear_parameter_gradients(model: Module) -> None:
-    for parameter in model.parameters():
-        parameter.grad = None
+@contextlib.contextmanager
+def input_only_backward(model: Module) -> Iterator[None]:
+    """Turn ``requires_grad`` off on every trainable parameter of ``model`` for the block.
+
+    An attack needs the gradient of the loss with respect to its input
+    alone.  With the parameters frozen, the backward closures skip
+    their weight and bias work, and no parameter ``.grad`` is written.
+    Recording stays on, so the convolutions and matmuls keep the dense
+    GEMM a training step runs (the CSR kernels serve frozen weights
+    only under ``no_grad``) and the input gradient is the same to the
+    byte.  Only the flags this turned off are turned back on, in a
+    ``finally``, so parameters the caller had frozen (compacted or LMP
+    models carry some) stay frozen even when the block raises.
+    """
+    trainable = [parameter for parameter in model.parameters() if parameter.requires_grad]
+    for parameter in trainable:
+        parameter.requires_grad = False
+    try:
+        yield
+    finally:
+        for parameter in trainable:
+            parameter.requires_grad = True

@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro.attacks.pgd import PGDConfig, pgd_attack
 from repro.bench.spec import BenchSpec, register
 from repro.core.parallel import SweepRunner
 from repro.core.tickets import Ticket
@@ -189,6 +190,44 @@ register(
         setup=_fused_setup,
         payload=_fused_payload,
         repeats=7,
+    )
+)
+
+
+# ----------------------------------------------------------------------
+# attacks.*  — the PGD inner maximisation of adversarial pretraining
+# ----------------------------------------------------------------------
+_PGD_CONFIG = PGDConfig(epsilon=0.03, steps=4)
+
+
+def _pgd_setup() -> Dict[str, Any]:
+    images, labels = _train_batch(32)
+    model = ClassifierHead(resnet18(base_width=8, seed=0), num_classes=10, seed=1)
+    model.eval()
+    return {"model": model, "images": images, "labels": labels}
+
+
+def _pgd_payload(state) -> None:
+    images = state["images"]
+    adversarial = pgd_attack(
+        state["model"], images, state["labels"], _PGD_CONFIG, rng=np.random.default_rng(0)
+    )
+    # The attack computes the ball's bounds in the engine dtype, so allow
+    # their rounding.
+    distance = float(np.abs(adversarial - images).max())
+    if distance > _PGD_CONFIG.epsilon + 1e-6 or adversarial.min() < 0.0 or adversarial.max() > 1.0:
+        raise FloatingPointError(
+            f"PGD left the epsilon-ball or [0, 1]: max |delta| {distance:.6f}, "
+            f"range [{adversarial.min():.6f}, {adversarial.max():.6f}]"
+        )
+
+
+register(
+    BenchSpec(
+        name="attacks.pgd",
+        title="4-step PGD attack, eps 0.03, on ResNet-18 in eval mode (batch 32)",
+        setup=_pgd_setup,
+        payload=_pgd_payload,
     )
 )
 

@@ -21,6 +21,23 @@ def _pair(value) -> Tuple[int, int]:
     return int(value), int(value)
 
 
+def _output_size(
+    image_size: Tuple[int, int],
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> Tuple[int, int]:
+    """Spatial output size of a convolution window; raises when it is empty."""
+    out_h = (image_size[0] + 2 * padding[0] - kernel_size[0]) // stride[0] + 1
+    out_w = (image_size[1] + 2 * padding[1] - kernel_size[1]) // stride[1] + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(
+            f"im2col produced non-positive output size {(out_h, out_w)} "
+            f"for input {image_size}, kernel {kernel_size}, stride {stride}, padding {padding}"
+        )
+    return out_h, out_w
+
+
 def im2col(
     images: np.ndarray,
     kernel_size: Tuple[int, int],
@@ -47,14 +64,7 @@ def im2col(
     kernel_h, kernel_w = kernel_size
     stride_h, stride_w = stride
     pad_h, pad_w = padding
-
-    out_h = (height + 2 * pad_h - kernel_h) // stride_h + 1
-    out_w = (width + 2 * pad_w - kernel_w) // stride_w + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"im2col produced non-positive output size {(out_h, out_w)} "
-            f"for input {(height, width)}, kernel {kernel_size}, stride {stride}, padding {padding}"
-        )
+    out_h, out_w = _output_size((height, width), kernel_size, stride, padding)
 
     if pad_h or pad_w:
         images = np.pad(
@@ -109,40 +119,77 @@ def _im2col_t(
     copies whose inner run is a full output row, which is 2-3x faster
     on the 3x3 geometries that dominate ResNet inference and training.
     BLAS consumes either orientation without further copies.
+
+    Padding is handled by clipping windows; there is no padded copy of
+    the input.  Each tap copies only the window its :func:`_window_plan`
+    entry keeps inside the image into a zero-filled buffer, so the
+    padding positions read as zeros, bit for bit what a zero-padded
+    copy would give.
     """
     batch, channels, height, width = images.shape
     kernel_h, kernel_w = kernel_size
-    stride_h, stride_w = stride
-    pad_h, pad_w = padding
+    out_h, out_w = _output_size((height, width), kernel_size, stride, padding)
 
-    out_h = (height + 2 * pad_h - kernel_h) // stride_h + 1
-    out_w = (width + 2 * pad_w - kernel_w) // stride_w + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"im2col produced non-positive output size {(out_h, out_w)} "
-            f"for input {(height, width)}, kernel {kernel_size}, stride {stride}, padding {padding}"
-        )
-
-    if pad_h or pad_w:
-        images = np.pad(
-            images,
-            ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)),
-            mode="constant",
-        )
-
-    columns = np.empty(
-        (channels, kernel_h, kernel_w, batch, out_h, out_w), dtype=images.dtype
-    )
-    for i in range(kernel_h):
-        i_end = i + stride_h * out_h
-        for j in range(kernel_w):
-            j_end = j + stride_w * out_w
-            columns[:, i, j] = images[:, :, i:i_end:stride_h, j:j_end:stride_w].transpose(
-                1, 0, 2, 3
-            )
+    # Without padding every tap's window is the whole output plane, so
+    # nothing is left for zeros to fill.
+    allocate = np.zeros if padding[0] or padding[1] else np.empty
+    columns = allocate((channels, kernel_h, kernel_w, batch, out_h, out_w), dtype=images.dtype)
+    channels_first = images.transpose(1, 0, 2, 3)
+    for i, j, out_rows, out_cols, in_rows, in_cols in _window_plan(
+        height, width, kernel_size, stride, padding
+    ):
+        columns[:, i, j, :, out_rows, out_cols] = channels_first[:, :, in_rows, in_cols]
     return (
         columns.reshape(channels * kernel_h * kernel_w, batch * out_h * out_w),
         (out_h, out_w),
+    )
+
+
+def _clip_axis(
+    size: int, offset: int, stride: int, pad: int, out_size: int
+) -> Optional[Tuple[slice, slice]]:
+    """Output positions whose tap ``offset`` reads inside ``[0, size)``, and their source.
+
+    Output position ``o`` reads source index ``offset + stride * o - pad``.
+    Returns ``(output slice, source slice)``, or ``None`` when every
+    position the tap reads is padding.
+    """
+    first = max(0, -((offset - pad) // stride))
+    stop = min(out_size, (size - 1 + pad - offset) // stride + 1)
+    if stop <= first:
+        return None
+    source = offset + stride * first - pad
+    return slice(first, stop), slice(source, source + stride * (stop - first - 1) + 1, stride)
+
+
+@lru_cache(maxsize=256)
+def _window_plan(
+    height: int,
+    width: int,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> Tuple[Tuple[int, int, slice, slice, slice, slice], ...]:
+    """In-image window of every kernel tap, for one convolution geometry.
+
+    Each entry is ``(i, j, out_rows, out_cols, in_rows, in_cols)``: the
+    output positions whose tap ``(i, j)`` reads a pixel inside the
+    ``height x width`` image, and the matching strided image slice.
+    Taps that read only padding are left out; the rest keep the
+    row-major tap order, so a fold that walks the plan adds each
+    element's contributions in the same order as a walk over the
+    padded plane.  Geometries repeat every training step, so the plan
+    is memoised like :func:`_scatter_plan`.
+    """
+    out_h, out_w = _output_size((height, width), kernel, stride, padding)
+    rows = [_clip_axis(height, i, stride[0], padding[0], out_h) for i in range(kernel[0])]
+    cols = [_clip_axis(width, j, stride[1], padding[1], out_w) for j in range(kernel[1])]
+    return tuple(
+        (i, j, row[0], col[0], row[1], col[1])
+        for i, row in enumerate(rows)
+        if row is not None
+        for j, col in enumerate(cols)
+        if col is not None
     )
 
 
@@ -206,14 +253,14 @@ def col2im(
     * Small overlapping kernels (the 3x3 convolutions that dominate
       training) keep a loop over the ``kh x kw`` offsets: each
       iteration is one full-width strided add, which beats the sorted
-      gather of the segmented scatter at this size.
+      gather of the segmented scatter at this size.  This branch
+      handles padding by clipping windows: each tap adds only its
+      in-image window, straight into the unpadded image, so there is
+      no padded plane to allocate and crop.
     """
     batch, channels, height, width = image_shape
     kernel_h, kernel_w = kernel_size
-    stride_h, stride_w = stride
-
-    out_h = (height + 2 * padding[0] - kernel_h) // stride_h + 1
-    out_w = (width + 2 * padding[1] - kernel_w) // stride_w + 1
+    out_h, out_w = _output_size((height, width), kernel_size, stride, padding)
     windows = columns.reshape(
         batch, out_h, out_w, channels, kernel_h, kernel_w
     ).transpose(0, 3, 4, 5, 1, 2)
@@ -230,8 +277,7 @@ def _col2im_t(
     """Adjoint of :func:`_im2col_t`: fold ``(C*kh*kw, N*oh*ow)`` columns."""
     batch, channels, height, width = image_shape
     kernel_h, kernel_w = kernel_size
-    out_h = (height + 2 * padding[0] - kernel_h) // stride[0] + 1
-    out_w = (width + 2 * padding[1] - kernel_w) // stride[1] + 1
+    out_h, out_w = _output_size((height, width), kernel_size, stride, padding)
     windows = columns_t.reshape(
         channels, kernel_h, kernel_w, batch, out_h, out_w
     ).transpose(3, 0, 1, 2, 4, 5)
@@ -245,14 +291,22 @@ def _fold_windows(
     stride: Tuple[int, int],
     padding: Tuple[int, int],
 ) -> np.ndarray:
-    """Accumulate a ``(N, C, kh, kw, oh, ow)`` window view into images."""
+    """Accumulate a ``(N, C, kh, kw, oh, ow)`` window view into images.
+
+    The strided-write and segmented-scatter branches fold into a
+    zero-padded plane and return its interior.  The accumulating branch
+    handles padding by clipping windows instead: it adds each tap's
+    :func:`_window_plan` window straight into the unpadded image, onto
+    zeros and in tap order, so every element sees the same additions in
+    the same order as on a padded plane, and the result is the same to
+    the byte (signed zeros included).
+    """
     batch, channels, height, width = image_shape
     kernel_h, kernel_w = kernel_size
     stride_h, stride_w = stride
     pad_h, pad_w = padding
 
-    out_h = (height + 2 * pad_h - kernel_h) // stride_h + 1
-    out_w = (width + 2 * pad_w - kernel_w) // stride_w + 1
+    out_h, out_w = _output_size((height, width), kernel_size, stride, padding)
     padded_h = height + 2 * pad_h
     padded_w = width + 2 * pad_w
 
@@ -291,12 +345,12 @@ def _fold_windows(
         flat[:, targets] = np.add.reduceat(contributions[:, order], starts, axis=1)
         padded = flat.reshape(batch, channels, padded_h, padded_w)
     else:
-        padded = np.zeros((batch, channels, padded_h, padded_w), dtype=reshaped.dtype)
-        for i in range(kernel_h):
-            i_end = i + stride_h * out_h
-            for j in range(kernel_w):
-                j_end = j + stride_w * out_w
-                padded[:, :, i:i_end:stride_h, j:j_end:stride_w] += reshaped[:, :, i, j]
+        image = np.zeros(image_shape, dtype=reshaped.dtype)
+        for i, j, out_rows, out_cols, in_rows, in_cols in _window_plan(
+            height, width, kernel_size, stride, padding
+        ):
+            image[:, :, in_rows, in_cols] += reshaped[:, :, i, j, out_rows, out_cols]
+        return image
 
     if pad_h or pad_w:
         return padded[:, :, pad_h : pad_h + height, pad_w : pad_w + width]

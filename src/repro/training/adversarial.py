@@ -44,12 +44,12 @@ class AdversarialTrainer(Trainer):
     def prepare_batch(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Replace the clean batch with PGD adversarial examples."""
         # The attack is crafted in evaluation mode so batch-norm statistics
-        # are not perturbed by the attack's forward passes; training mode is
-        # restored for the subsequent parameter update.
+        # are not perturbed by the attack's forward passes; the caller's
+        # mode is restored for the subsequent parameter update, also when
+        # the attack raises.
         was_training = self.model.training
         self.model.eval()
-        adversarial = pgd_attack(
-            self.model, images, labels, self.attack, rng=self._attack_rng
-        )
-        self.model.train(was_training)
-        return adversarial
+        try:
+            return pgd_attack(self.model, images, labels, self.attack, rng=self._attack_rng)
+        finally:
+            self.model.train(was_training)

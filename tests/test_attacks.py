@@ -12,7 +12,10 @@ from repro.attacks import (
     pgd_attack,
 )
 from repro.attacks.smoothing import _binomial_lower_bound
-from repro.tensor import Tensor, cross_entropy, no_grad
+from repro.models.heads import ClassifierHead
+from repro.models.resnet import resnet18
+from repro.nn.module import Module
+from repro.tensor import Tensor, cross_entropy, default_dtype, default_dtype_scope, no_grad
 from repro.utils.seeding import seeded_rng
 
 
@@ -92,6 +95,105 @@ class TestPGD:
         images, labels = small_batch
         pgd_attack(tiny_classifier, images, labels % 6, PGDConfig(epsilon=0.03, steps=2))
         assert all(parameter.grad is None for parameter in tiny_classifier.parameters())
+
+
+ATTACKS = {
+    "fgsm": lambda model, images, labels: fgsm_attack(model, images, labels, epsilon=0.03),
+    "pgd": lambda model, images, labels: pgd_attack(
+        model, images, labels, PGDConfig(epsilon=0.03, steps=3), rng=seeded_rng(0)
+    ),
+}
+
+
+class FailingForward(Module):
+    """Wraps a model and raises on its forward number ``fail_at`` (counting from 0)."""
+
+    def __init__(self, model: Module, fail_at: int) -> None:
+        super().__init__()
+        self.model = model
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def forward(self, x):
+        if self.calls == self.fail_at:
+            raise RuntimeError("forward failed mid-attack")
+        self.calls += 1
+        return self.model(x)
+
+
+@pytest.mark.parametrize("attack", list(ATTACKS), ids=list(ATTACKS))
+class TestAttacksLeaveModelAsFound:
+    def test_accumulated_gradients_survive_bit_for_bit(self, attack, tiny_classifier, small_batch):
+        images, labels = small_batch
+        rng = seeded_rng(3)
+        parameters = tiny_classifier.parameters()
+        for parameter in parameters:
+            parameter.grad = rng.normal(size=parameter.shape)
+        sentinels = [parameter.grad.copy() for parameter in parameters]
+        ATTACKS[attack](tiny_classifier, images, labels % 6)
+        for parameter, sentinel in zip(parameters, sentinels):
+            assert parameter.grad is not None
+            assert parameter.grad.tobytes() == sentinel.tobytes()
+
+    def test_frozen_parameters_stay_frozen(self, attack, tiny_classifier, small_batch):
+        images, labels = small_batch
+        flags = freeze_every_other_parameter(tiny_classifier)
+        ATTACKS[attack](tiny_classifier, images, labels % 6)
+        assert [parameter.requires_grad for parameter in tiny_classifier.parameters()] == flags
+
+    def test_flags_restored_when_the_forward_raises(self, attack, tiny_classifier, small_batch):
+        images, labels = small_batch
+        flags = freeze_every_other_parameter(tiny_classifier)
+        # PGD fails on its second step, after one full forward and backward.
+        failing = FailingForward(tiny_classifier, fail_at=1 if attack == "pgd" else 0)
+        with pytest.raises(RuntimeError, match="mid-attack"):
+            ATTACKS[attack](failing, images, labels % 6)
+        assert failing.calls == failing.fail_at
+        assert [parameter.requires_grad for parameter in tiny_classifier.parameters()] == flags
+
+
+def freeze_every_other_parameter(model: Module) -> list:
+    """Freeze half the parameters, as compacted and LMP models do; return every flag."""
+    parameters = model.parameters()
+    for parameter in parameters[::2]:
+        parameter.requires_grad = False
+    flags = [parameter.requires_grad for parameter in parameters]
+    assert any(flags) and not all(flags)
+    return flags
+
+
+def reference_pgd(model, images, labels, config, rng):
+    """PGD whose backward also computes every parameter's gradient, then drops them."""
+    images = np.asarray(images, dtype=default_dtype())
+    step_size = config.resolved_step_size()
+    delta = rng.uniform(-config.epsilon, config.epsilon, size=images.shape)
+    adversarial = np.clip(images + delta.astype(images.dtype, copy=False), 0.0, 1.0)
+    for _ in range(config.steps):
+        inputs = Tensor(adversarial, requires_grad=True)
+        cross_entropy(model(inputs), labels).backward()
+        assert all(parameter.grad is not None for parameter in model.parameters())
+        adversarial = adversarial + step_size * np.sign(inputs.grad)
+        adversarial = np.clip(adversarial, images - config.epsilon, images + config.epsilon)
+        adversarial = np.clip(adversarial, 0.0, 1.0)
+        model.zero_grad()
+    return adversarial
+
+
+def test_input_only_pgd_matches_full_backward_byte_for_byte(grad_dtype):
+    """Dropping the parameter gradients must not change one bit of the attack."""
+    with default_dtype_scope(grad_dtype):
+        model = ClassifierHead(resnet18(base_width=4, seed=1), num_classes=6, seed=2)
+        model.eval()
+        rng = seeded_rng(4)
+        images = rng.uniform(0.0, 1.0, size=(6, 3, 16, 16))
+        labels = rng.integers(0, 6, size=6)
+        config = PGDConfig(epsilon=0.03, steps=4)
+        assert all(parameter.requires_grad for parameter in model.parameters())
+        expected = reference_pgd(model, images, labels, config, seeded_rng(5))
+        adversarial = pgd_attack(model, images, labels, config, rng=seeded_rng(5))
+    assert adversarial.dtype == expected.dtype == grad_dtype
+    assert adversarial.tobytes() == expected.tobytes()
+    assert all(parameter.requires_grad for parameter in model.parameters())
 
 
 class TestGaussianAugment:

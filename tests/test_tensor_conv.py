@@ -39,6 +39,78 @@ def reference_conv2d(images, weight, bias, stride, padding):
     return output
 
 
+def padded_reference_fold(windows, image_shape, kernel, stride, padding):
+    """Fold ``(N, C, kh, kw, oh, ow)`` windows into a zero-padded plane, then crop it.
+
+    Walks the taps in row-major order.  Where windows overlap (a kernel
+    larger than its stride on either axis) each tap adds onto the zeros,
+    so every element sums its contributions in tap order.  Where they
+    never overlap an element receives at most one value, which is
+    written as it is.
+    """
+    batch, channels, height, width = image_shape
+    (kernel_h, kernel_w), (stride_h, stride_w), (pad_h, pad_w) = kernel, stride, padding
+    out_h, out_w = windows.shape[-2:]
+    plane = np.zeros(
+        (batch, channels, height + 2 * pad_h, width + 2 * pad_w), dtype=windows.dtype
+    )
+    overlapping = kernel_h > stride_h or kernel_w > stride_w
+    for i in range(kernel_h):
+        for j in range(kernel_w):
+            target = plane[
+                :, :, i : i + stride_h * out_h : stride_h, j : j + stride_w * out_w : stride_w
+            ]
+            if overlapping:
+                target += windows[:, :, i, j]
+            else:
+                target[...] = windows[:, :, i, j]
+    return np.ascontiguousarray(plane[:, :, pad_h : pad_h + height, pad_w : pad_w + width])
+
+
+#: Kernels 1-5, strides 1-3 and padding 0-3 (padding >= kernel included,
+#: so some taps read nothing but padding), plus rectangular geometries.
+WINDOW_GEOMETRIES = [
+    ((kernel, kernel), (stride, stride), (pad, pad))
+    for kernel in range(1, 6)
+    for stride in range(1, 4)
+    for pad in range(4)
+] + [
+    ((2, 3), (2, 1), (1, 0)),
+    ((1, 4), (1, 2), (0, 3)),
+    ((5, 2), (3, 1), (2, 1)),
+    ((4, 5), (1, 2), (3, 0)),
+]
+
+
+def _geometry_id(geometry):
+    (kernel_h, kernel_w), (stride_h, stride_w), (pad_h, pad_w) = geometry
+    return f"k{kernel_h}x{kernel_w}-s{stride_h}x{stride_w}-p{pad_h}x{pad_w}"
+
+
+def _window_cases(rng, geometry):
+    """Inputs over spatial sizes down to 1x1, batch 1 and 3, float32 and float64.
+
+    Yields ``(images, columns_t)`` with ``-0.0`` planted in both, where
+    ``columns_t`` is a random array in the transposed column layout.
+    Sizes the geometry cannot cover are skipped.
+    """
+    kernel, stride, padding = geometry
+    for height, width in ((1, 1), (2, 2), (3, 5), (7, 6)):
+        out_h = (height + 2 * padding[0] - kernel[0]) // stride[0] + 1
+        out_w = (width + 2 * padding[1] - kernel[1]) // stride[1] + 1
+        if out_h <= 0 or out_w <= 0:
+            continue
+        for batch in (1, 3):
+            for dtype in (np.float32, np.float64):
+                images = rng.normal(size=(batch, 2, height, width)).astype(dtype)
+                images[rng.random(images.shape) < 0.25] = -0.0
+                columns_t = rng.normal(
+                    size=(2 * kernel[0] * kernel[1], batch * out_h * out_w)
+                ).astype(dtype)
+                columns_t[rng.random(columns_t.shape) < 0.25] = -0.0
+                yield images, columns_t
+
+
 class TestIm2Col:
     def test_shapes(self, rng):
         images = rng.normal(size=(2, 3, 8, 8))
@@ -46,25 +118,66 @@ class TestIm2Col:
         assert out_size == (8, 8)
         assert columns.shape == (2 * 8 * 8, 3 * 3 * 3)
 
-    @pytest.mark.parametrize(
-        "kernel,stride,padding",
-        [((3, 3), (1, 1), (1, 1)), ((1, 1), (2, 2), (0, 0)), ((2, 3), (2, 1), (1, 0))],
-        ids=["3x3", "1x1-strided", "asymmetric"],
-    )
-    def test_transposed_layout_matches_row_layout(self, rng, kernel, stride, padding):
-        """The engine's transposed unfold is the row-major unfold, transposed.
+    @pytest.mark.parametrize("geometry", WINDOW_GEOMETRIES, ids=_geometry_id)
+    def test_transposed_layout_matches_row_layout(self, rng, geometry):
+        """The engine's transposed unfold is the row-major unfold, transposed, to the byte.
 
-        Pins the production ``_im2col_t`` (used by ``conv2d``) to the
-        public reference ``im2col`` (used by the pooling ops) so the two
-        implementations cannot drift apart.
+        Pins the production ``_im2col_t`` (used by ``conv2d``, which
+        clips windows instead of padding) to the public reference
+        ``im2col`` (which pads with ``np.pad``), signed zeros included,
+        so the two implementations cannot drift apart.
         """
         from repro.tensor.conv import _im2col_t
 
-        images = rng.normal(size=(2, 3, 7, 6))
-        columns, out_size = im2col(images, kernel, stride, padding)
-        columns_t, out_size_t = _im2col_t(images, kernel, stride, padding)
-        assert out_size == out_size_t
-        np.testing.assert_array_equal(columns_t, columns.T)
+        kernel, stride, padding = geometry
+        checked = 0
+        for images, _ in _window_cases(rng, geometry):
+            columns, out_size = im2col(images, kernel, stride, padding)
+            columns_t, out_size_t = _im2col_t(images, kernel, stride, padding)
+            assert out_size == out_size_t
+            assert columns_t.dtype == images.dtype
+            assert columns_t.shape == columns.T.shape
+            assert columns_t.tobytes() == np.ascontiguousarray(columns.T).tobytes()
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("geometry", WINDOW_GEOMETRIES, ids=_geometry_id)
+    def test_folds_match_padded_reference(self, rng, geometry):
+        """``_col2im_t`` and ``col2im`` equal a fold over a padded plane, to the byte.
+
+        Large overlapping kernels fold through ``np.add.reduceat``,
+        whose summation order numpy does not specify, so on that branch
+        the fold agrees with the reference to rounding only.  Every
+        other geometry must match byte for byte, signed zeros included.
+        """
+        from repro.tensor.conv import _SCATTER_MIN_TAPS, _col2im_t
+
+        kernel, stride, padding = geometry
+        segmented = (kernel[0] > stride[0] or kernel[1] > stride[1]) and (
+            kernel[0] * kernel[1] > _SCATTER_MIN_TAPS
+        )
+        checked = 0
+        for images, columns_t in _window_cases(rng, geometry):
+            batch, channels = images.shape[:2]
+            out_h = (images.shape[2] + 2 * padding[0] - kernel[0]) // stride[0] + 1
+            out_w = (images.shape[3] + 2 * padding[1] - kernel[1]) // stride[1] + 1
+            windows = columns_t.reshape(
+                channels, kernel[0], kernel[1], batch, out_h, out_w
+            ).transpose(3, 0, 1, 2, 4, 5)
+            expected = padded_reference_fold(windows, images.shape, kernel, stride, padding)
+            folded_t = _col2im_t(columns_t, images.shape, kernel, stride, padding)
+            folded = col2im(
+                np.ascontiguousarray(columns_t.T), images.shape, kernel, stride, padding
+            )
+            for result in (folded_t, folded):
+                assert result.shape == images.shape and result.dtype == images.dtype
+                if segmented:
+                    tolerance = 64 * np.finfo(images.dtype).eps
+                    np.testing.assert_allclose(result, expected, rtol=tolerance, atol=tolerance)
+                else:
+                    assert np.ascontiguousarray(result).tobytes() == expected.tobytes()
+            checked += 1
+        assert checked
 
     def test_invalid_geometry_raises(self, rng):
         images = rng.normal(size=(1, 1, 2, 2))

@@ -109,6 +109,16 @@ class TestAdversarialTrainer:
         trainer.prepare_batch(toy_dataset.images[:4], toy_dataset.labels[:4])
         assert model.training
 
+    def test_model_mode_restored_when_attack_raises(self, toy_dataset):
+        model = build_small_classifier(num_classes=2)
+        trainer = AdversarialTrainer(model, TrainerConfig(epochs=1, seed=0))
+        model.train()
+        # Two input channels against a three-channel stem: the first forward raises.
+        with pytest.raises(ValueError, match="channel mismatch"):
+            trainer.prepare_batch(toy_dataset.images[:4, :2], toy_dataset.labels[:4])
+        assert all(module.training for module in model.modules())
+        assert all(parameter.requires_grad for parameter in model.parameters())
+
 
 class TestGaussianAugmentTrainer:
     def test_prepare_batch_adds_noise(self, toy_dataset):
