@@ -7,10 +7,10 @@ across all benchmarks through a session-scoped
 :class:`~repro.experiments.context.ExperimentContext`, exactly as the
 paper reuses its pretrained ImageNet models across figures.
 
-Each benchmark runs its experiment exactly once (``benchmark.pedantic``
-with one round): the quantity of interest is the reproduced table, not
-a timing distribution, and a single round keeps the full suite within a
-CPU-only budget.
+Each benchmark runs its experiment exactly once: the quantity of
+interest is the reproduced table, not a timing distribution.  Timings
+are the registered :mod:`repro.bench` specs, which
+``test_bench_suite.py`` runs here and ``python -m repro.bench`` gates.
 
 Pretrained backbones and drawn tickets persist to a per-machine sweep
 cache (see :mod:`repro.core.cache`), so re-running the suite skips the
@@ -70,16 +70,6 @@ def workers() -> int:
     across processes (results are identical either way).
     """
     return default_workers()
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run a callable exactly once under pytest-benchmark and return its result."""
-
-    def runner(func, *args, **kwargs):
-        return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return runner
 
 
 def report(table: ResultTable) -> None:

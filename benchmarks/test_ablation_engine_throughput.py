@@ -1,52 +1,27 @@
-"""Substrate micro-benchmarks: forward/backward throughput of the numpy engine.
+"""Engine checks that the registered throughput specs do not make.
 
-The payloads are the registered :mod:`repro.bench` specs — this file is
-a thin pytest-benchmark wrapper over the registry (so ``--benchmark-json
-BENCH_engine.json`` keeps tracking the same numbers CI gates on), plus
-the engine's two direction-of-effect contracts that need paired
-measurements rather than baselines: Conv+BN fusion must agree with the
-unfused model, and the ``float32`` default must stay faster than the
-``float64`` path it replaced.
+The engine's throughput numbers are the registered :mod:`repro.bench`
+specs (``engine.*``, ``tensor.*``), which ``test_bench_suite.py`` runs
+here and the CI ``bench-gate`` job gates against baselines; the
+float32-over-float64 speedup is the bounded ``engine.float32_speedup``
+spec.  What stays here is host-independent: Conv+BN fusion must agree
+with the unfused model, the engine must ship ``float32``, and the
+full-suite-only ResNet-50 training step must still run.
 """
 
-import os
-
 import numpy as np
-import pytest
 
-from repro.bench import best_wall, get_bench
+from repro.bench import best_wall, calibrate, get_bench, measure
 from repro.models.heads import ClassifierHead
 from repro.models.resnet import resnet18
 from repro.nn.fuse import fuse
-from repro.tensor import Tensor, cross_entropy, default_dtype, default_dtype_scope, no_grad
+from repro.tensor import Tensor, default_dtype, no_grad
 
 
-def _bench_registered(benchmark, name: str, rounds: int) -> None:
-    spec = get_bench(name)
-    state = spec.setup()
-    benchmark.pedantic(spec.payload, args=(state,), rounds=rounds, iterations=1, warmup_rounds=1)
-
-
-def test_resnet18_train_step_throughput(benchmark):
-    _bench_registered(benchmark, "engine.train_step", rounds=3)
-
-
-def test_resnet50_train_step_throughput(benchmark):
-    _bench_registered(benchmark, "engine.train_step_resnet50", rounds=2)
-
-
-def test_resnet18_fused_inference_throughput(benchmark):
-    """Eval-path timing through the Conv+BN-folded model (repro.nn.fuse).
-
-    This is the configuration ``Trainer.evaluate`` and
-    ``predict_logits`` actually run, so this number is the per-step
-    eval time the sweep grids pay.
-    """
-    _bench_registered(benchmark, "engine.fused_inference", rounds=5)
-
-
-def test_conv2d_throughput(benchmark):
-    _bench_registered(benchmark, "tensor.conv2d_train", rounds=5)
+def test_resnet50_train_step_throughput():
+    """``engine.train_step_resnet50`` is full-suite only, so the smoke run skips it."""
+    result = measure(get_bench("engine.train_step_resnet50"), calibrate(repeats=1))
+    assert result.units > 0
 
 
 def test_conv_bn_fusion_speedup():
@@ -90,47 +65,5 @@ def test_conv_bn_fusion_speedup():
 
 
 def test_default_dtype_is_float32():
-    """The engine ships single-precision; the benchmark numbers above rely on it."""
+    """The engine ships single-precision; the registered engine specs measure it."""
     assert default_dtype() == np.float32
-
-
-def test_float32_speedup_over_float64():
-    """Training step under the float32 default vs the historical float64 path.
-
-    Uses a wider backbone than the micro-benchmarks above so the im2col
-    GEMMs dominate over per-op python overhead, which is where the
-    precision choice pays off.
-    """
-    rng = np.random.default_rng(0)
-    images = rng.uniform(size=(32, 3, 16, 16))
-    labels = rng.integers(0, 10, size=32)
-
-    def train_step(model):
-        def run():
-            model.train()
-            loss = cross_entropy(model(Tensor(images)), labels)
-            loss.backward()
-            model.zero_grad()
-            assert np.isfinite(loss.item())
-
-        return run
-
-    def timed(dtype):
-        with default_dtype_scope(dtype):
-            model = ClassifierHead(resnet18(base_width=16, seed=0), num_classes=10, seed=1)
-            return best_wall(train_step(model), repeats=3)
-
-    float64_time = timed(np.float64)
-    float32_time = timed(np.float32)
-    speedup = float64_time / float32_time
-    print(
-        f"\nfloat64 {float64_time * 1e3:.1f}ms  float32 {float32_time * 1e3:.1f}ms  "
-        f"speedup {speedup:.2f}x"
-    )
-    # Shared CI runners (2 vCPUs, noisy neighbours) can't guarantee stable
-    # wall-clock ratios; gate on the full 1.5x only on real machines and
-    # keep a direction-of-effect floor under CI.
-    threshold = 1.1 if os.environ.get("CI") else 1.5
-    assert speedup >= threshold, (
-        f"float32 engine should be >={threshold}x faster, got {speedup:.2f}x"
-    )

@@ -6,16 +6,16 @@ from repro.pruning.granularity import GRANULARITIES
 from benchmarks.conftest import report
 
 
-def test_ablation_granularity_gap(run_once, scale, context, workers):
-    table = run_once(granularity_gap_ablation, scale=scale, context=context, workers=workers)
+def test_ablation_granularity_gap(scale, context, workers):
+    table = granularity_gap_ablation(scale=scale, context=context, workers=workers)
     report(table)
 
     assert len(table) == len(GRANULARITIES)
     assert all(0.0 <= row["robust_accuracy"] <= 1.0 for row in table)
 
 
-def test_ablation_mask_overlap(run_once, scale, context, workers):
-    table = run_once(mask_overlap_analysis, scale=scale, context=context, workers=workers)
+def test_ablation_mask_overlap(scale, context, workers):
+    table = mask_overlap_analysis(scale=scale, context=context, workers=workers)
     report(table)
 
     assert len(table) == len(scale.sparsity_grid + scale.high_sparsity_grid)

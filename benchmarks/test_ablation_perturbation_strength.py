@@ -8,8 +8,8 @@ from benchmarks.conftest import report
 EPSILONS = (0.0, 0.03)
 
 
-def test_ablation_perturbation_strength(run_once, scale, workers):
-    table = run_once(perturbation_strength_ablation, scale=scale, epsilons=EPSILONS, workers=workers)
+def test_ablation_perturbation_strength(scale, workers):
+    table = perturbation_strength_ablation(scale=scale, epsilons=EPSILONS, workers=workers)
     report(table)
 
     assert len(table) == len(EPSILONS)

@@ -5,8 +5,8 @@ from repro.experiments import fig2_omp_linear
 from benchmarks.conftest import report
 
 
-def test_fig2_omp_linear(run_once, scale, context, workers):
-    table = run_once(fig2_omp_linear.run, scale=scale, context=context, workers=workers)
+def test_fig2_omp_linear(scale, context, workers):
+    table = fig2_omp_linear.run(scale=scale, context=context, workers=workers)
     report(table)
 
     expected_points = len(scale.models) * len(scale.tasks) * len(scale.sparsity_grid)

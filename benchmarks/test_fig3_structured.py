@@ -5,8 +5,8 @@ from repro.experiments import fig3_structured
 from benchmarks.conftest import report
 
 
-def test_fig3_structured(run_once, scale, context, workers):
-    table = run_once(fig3_structured.run, scale=scale, context=context, workers=workers)
+def test_fig3_structured(scale, context, workers):
+    table = fig3_structured.run(scale=scale, context=context, workers=workers)
     report(table)
 
     expected_points = (

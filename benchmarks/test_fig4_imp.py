@@ -5,8 +5,8 @@ from repro.experiments import fig4_imp
 from benchmarks.conftest import report
 
 
-def test_fig4_imp(run_once, scale, context, workers):
-    table = run_once(fig4_imp.run, scale=scale, context=context, workers=workers)
+def test_fig4_imp(scale, context, workers):
+    table = fig4_imp.run(scale=scale, context=context, workers=workers)
     report(table)
 
     assert len(table) == len(scale.models) * 1 * len(scale.sparsity_grid)

@@ -5,8 +5,8 @@ from repro.experiments import fig5_lmp
 from benchmarks.conftest import report
 
 
-def test_fig5_lmp(run_once, scale, context, workers):
-    table = run_once(fig5_lmp.run, scale=scale, context=context, workers=workers)
+def test_fig5_lmp(scale, context, workers):
+    table = fig5_lmp.run(scale=scale, context=context, workers=workers)
     report(table)
 
     assert len(table) == len(scale.models) * 1 * len(scale.sparsity_grid)

@@ -5,8 +5,8 @@ from repro.experiments import fig6_pretraining_schemes
 from benchmarks.conftest import report
 
 
-def test_fig6_pretraining_schemes(run_once, scale, context, workers):
-    table = run_once(fig6_pretraining_schemes.run, scale=scale, context=context, workers=workers)
+def test_fig6_pretraining_schemes(scale, context, workers):
+    table = fig6_pretraining_schemes.run(scale=scale, context=context, workers=workers)
     report(table)
 
     assert len(table) == len(scale.tasks) * len(scale.sparsity_grid)

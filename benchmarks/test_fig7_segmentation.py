@@ -5,8 +5,8 @@ from repro.experiments import fig7_segmentation
 from benchmarks.conftest import report
 
 
-def test_fig7_segmentation(run_once, scale, context, workers):
-    table = run_once(fig7_segmentation.run, scale=scale, context=context, workers=workers)
+def test_fig7_segmentation(scale, context, workers):
+    table = fig7_segmentation.run(scale=scale, context=context, workers=workers)
     report(table)
 
     assert len(table) == len(scale.sparsity_grid)

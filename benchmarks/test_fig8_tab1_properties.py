@@ -5,8 +5,8 @@ from repro.experiments import fig8_properties
 from benchmarks.conftest import report
 
 
-def test_fig8_tab1_properties(run_once, scale, context, workers):
-    table = run_once(fig8_properties.run, scale=scale, context=context, workers=workers)
+def test_fig8_tab1_properties(scale, context, workers):
+    table = fig8_properties.run(scale=scale, context=context, workers=workers)
     report(table)
 
     # Two arms (robust / natural) per model and sparsity point.

@@ -7,8 +7,8 @@ from repro.experiments import fig9_vtab_fid
 from benchmarks.conftest import report
 
 
-def test_fig9_tab2_vtab_fid(run_once, scale, context, workers):
-    table = run_once(fig9_vtab_fid.run, scale=scale, context=context, workers=workers)
+def test_fig9_tab2_vtab_fid(scale, context, workers):
+    table = fig9_vtab_fid.run(scale=scale, context=context, workers=workers)
     report(table)
 
     assert len(table) == 12  # the full VTAB-like suite

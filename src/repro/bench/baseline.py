@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.bench.calibrate import Calibration
 from repro.bench.harness import BenchResult
@@ -129,24 +129,3 @@ class BaselineStore:
             handle.write("\n")
         os.replace(temporary, path)
         return path
-
-    def specs(self) -> List[str]:
-        """Spec names with a loadable baseline on disk, sorted.
-
-        Listing is tolerant: the directory also holds other canonical
-        benchmark outputs (non-baseline formats), which are skipped.
-        """
-        try:
-            names = sorted(os.listdir(self.root))
-        except OSError:
-            return []
-        found = []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            try:
-                if self.load(name[: -len(".json")]) is not None:
-                    found.append(name[: -len(".json")])
-            except ValueError:
-                continue
-        return found

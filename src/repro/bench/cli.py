@@ -6,7 +6,8 @@ Run the CI smoke suite and keep the versioned artifact::
 
     python -m repro.bench run --suite smoke --output run.json
 
-Gate against the committed baselines (non-zero exit on regression)::
+Gate against the committed baselines (non-zero exit on a regression or
+a broken bound)::
 
     python -m repro.bench compare run.json
 
@@ -133,7 +134,7 @@ def _cmd_compare(args) -> int:
     if failing:
         statuses = ", ".join(sorted({verdict.status for verdict in failing}))
         print(f"\nFAIL: {len(failing)} failing verdict(s) ({statuses}); "
-              "bless intentional changes with `update-baseline`")
+              "bless intentional timing changes with `update-baseline`")
         return 1
     if missing and args.strict:
         print(f"\nFAIL (--strict): {len(missing)} spec(s) without a committed baseline")
@@ -154,6 +155,11 @@ def _cmd_update_baseline(args) -> int:
             print(f"error: artifact has no measurement for {sorted(unknown)}", file=sys.stderr)
             return 2
         results = [result for result in results if result.spec in wanted]
+    broken = {result.spec: result.violations for result in results if result.violations}
+    if broken:
+        print(f"error: a result that broke its declared bounds cannot be blessed: {broken}",
+              file=sys.stderr)
+        return 1
     for result in results:
         path = store.save(
             Baseline.from_result(result, calibration, source_suite=artifact.get("suite"))

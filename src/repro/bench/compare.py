@@ -17,7 +17,11 @@ its own relative tolerance; the verdict for a spec is
   re-blessed (a stale baseline must not silently stop gating),
 * ``invalid_baseline`` — a committed baseline file exists but cannot
   be parsed or read; fails the gate (a corrupt blessed number must
-  not silently degrade to an ungated ``no_baseline``).
+  not silently degrade to an ungated ``no_baseline``),
+* ``contract``     — a payload call broke one of the spec's declared
+  bounds (``speedup >= 1.5``); fails the gate with or without a
+  baseline, and the note names the metric, its value and the bound.
+  It replaces whatever the timing alone would have said.
 
 Zero-length timings (a payload faster than the clock tick, or a
 degenerate baseline) are floored at one nanosecond before the ratio,
@@ -31,15 +35,15 @@ import dataclasses
 from typing import Any, Dict, List, Optional
 
 from repro.bench.baseline import BaselineStore
-from repro.bench.calibrate import check_comparable
-from repro.bench.harness import artifact_calibration, artifact_results
+from repro.bench.calibrate import Calibration, check_comparable
+from repro.bench.harness import BenchResult, artifact_calibration, artifact_results
 
 #: Floor applied to measured units before forming a ratio: anything
 #: below one nanosecond of machine units is timer noise, not signal.
 UNITS_FLOOR = 1e-9
 
 #: Verdict statuses that must fail a gating build.
-FAILING = ("regression", "invalid_baseline", "incomparable")
+FAILING = ("regression", "invalid_baseline", "incomparable", "contract")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,7 +51,8 @@ class Verdict:
     """The comparator's conclusion for one spec."""
 
     spec: str
-    status: str  # regression | improvement | neutral | no_baseline | incomparable | invalid_baseline
+    # regression | improvement | neutral | no_baseline | incomparable | invalid_baseline | contract
+    status: str
     run_units: float
     baseline_units: Optional[float]
     ratio: Optional[float]
@@ -103,54 +108,55 @@ def compare_artifact(artifact: Dict[str, Any], store: BaselineStore) -> List[Ver
     run_calibration = artifact_calibration(artifact)
     verdicts = []
     for result in artifact_results(artifact):
-        try:
-            baseline = store.load(result.spec)
-        except ValueError as error:
-            verdicts.append(
-                Verdict(
-                    spec=result.spec,
-                    status="invalid_baseline",
-                    run_units=result.units,
-                    baseline_units=None,
-                    ratio=None,
-                    tolerance=result.tolerance,
-                    note=str(error),
-                )
+        verdict = _timing_verdict(result, store, run_calibration)
+        if result.violations:
+            verdict = dataclasses.replace(
+                verdict, status="contract", note="; ".join(result.violations)
             )
-            continue
-        if baseline is None:
-            verdicts.append(
-                compare_measurement(result.spec, result.units, None, result.tolerance)
-            )
-            continue
-        if baseline.timebase != result.timebase:
-            incompatibility = (
-                f"timebase mismatch (run {result.timebase!r} vs baseline "
-                f"{baseline.timebase!r}); re-bless the baseline"
-            )
-        elif result.timebase == "machine":
-            # Wall-timebase specs compare raw seconds: the calibration
-            # workload version is irrelevant to them.
-            incompatibility = check_comparable(run_calibration, baseline.calibration)
-        else:
-            incompatibility = None
-        if incompatibility is not None:
-            verdicts.append(
-                Verdict(
-                    spec=result.spec,
-                    status="incomparable",
-                    run_units=result.units,
-                    baseline_units=baseline.units,
-                    ratio=None,
-                    tolerance=result.tolerance,
-                    note=incompatibility,
-                )
-            )
-            continue
-        verdicts.append(
-            compare_measurement(result.spec, result.units, baseline.units, result.tolerance)
-        )
+        verdicts.append(verdict)
     return verdicts
+
+
+def _timing_verdict(
+    result: BenchResult, store: BaselineStore, run_calibration: Calibration
+) -> Verdict:
+    """The verdict on one result's timing against its committed baseline."""
+    try:
+        baseline = store.load(result.spec)
+    except ValueError as error:
+        return Verdict(
+            spec=result.spec,
+            status="invalid_baseline",
+            run_units=result.units,
+            baseline_units=None,
+            ratio=None,
+            tolerance=result.tolerance,
+            note=str(error),
+        )
+    if baseline is None:
+        return compare_measurement(result.spec, result.units, None, result.tolerance)
+    if baseline.timebase != result.timebase:
+        incompatibility = (
+            f"timebase mismatch (run {result.timebase!r} vs baseline "
+            f"{baseline.timebase!r}); re-bless the baseline"
+        )
+    elif result.timebase == "machine":
+        # Wall-timebase specs compare raw seconds: the calibration
+        # workload version is irrelevant to them.
+        incompatibility = check_comparable(run_calibration, baseline.calibration)
+    else:
+        incompatibility = None
+    if incompatibility is not None:
+        return Verdict(
+            spec=result.spec,
+            status="incomparable",
+            run_units=result.units,
+            baseline_units=baseline.units,
+            ratio=None,
+            tolerance=result.tolerance,
+            note=incompatibility,
+        )
+    return compare_measurement(result.spec, result.units, baseline.units, result.tolerance)
 
 
 def has_regression(verdicts: List[Verdict]) -> bool:

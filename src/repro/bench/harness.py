@@ -2,7 +2,8 @@
 
 Runs a :class:`~repro.bench.spec.BenchSpec` the same way regardless of
 what it measures: build the setup state (untimed), warm the payload,
-time ``repeats`` calls, and report the median together with the spread.
+time ``repeats`` calls, and report the median together with the spread
+and every call that broke one of the spec's declared bounds.
 Wall-times are additionally expressed in machine-relative units via the
 startup :class:`~repro.bench.calibrate.Calibration`, which is what the
 baseline comparator gates on.
@@ -39,7 +40,9 @@ class BenchResult:
 
     ``units`` is what the comparator gates on: the median wall-time
     divided by the calibration unit (``timebase == "machine"``), or the
-    raw median seconds (``timebase == "wall"``).
+    raw median seconds (``timebase == "wall"``).  ``violations`` names
+    each payload call that broke one of the spec's bounds; the
+    comparator fails a result that has any.
     """
 
     spec: str
@@ -52,6 +55,7 @@ class BenchResult:
     wall_s: Dict[str, float]
     units: float
     metrics: Dict[str, Any]
+    violations: List[str] = dataclasses.field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -69,32 +73,28 @@ class BenchResult:
             wall_s={key: float(value) for key, value in payload["wall_s"].items()},
             units=float(payload["units"]),
             metrics=dict(payload.get("metrics", {})),
+            violations=[str(note) for note in payload.get("violations", [])],
         )
 
 
 def measure(spec: BenchSpec, calibration: Calibration) -> BenchResult:
-    """Run one spec through the shared timing loop."""
+    """Run one spec through the shared timing loop.
+
+    Every call, warmup included, must return the declared metrics and
+    is checked against the spec's bounds.
+    """
     state = spec.setup()
-    returned: Optional[Dict[str, Any]] = None
-    for _ in range(spec.warmup):
-        returned = spec.payload(state)
+    calls = spec.warmup + spec.repeats
     times: List[float] = []
-    for _ in range(spec.repeats):
+    violations: List[str] = []
+    for call in range(calls):
         start = time.perf_counter()
         returned = spec.payload(state)
-        times.append(time.perf_counter() - start)
-
-    metrics: Dict[str, Any] = {}
-    if spec.metrics:
-        if not isinstance(returned, dict):
-            raise TypeError(
-                f"benchmark {spec.name!r} declares metrics {spec.metrics} but its "
-                f"payload returned {type(returned).__name__}, not a dict"
-            )
-        missing = [key for key in spec.metrics if key not in returned]
-        if missing:
-            raise KeyError(f"benchmark {spec.name!r} payload omitted declared metrics {missing}")
-        metrics = {key: returned[key] for key in spec.metrics}
+        elapsed = time.perf_counter() - start
+        if call >= spec.warmup:
+            times.append(elapsed)
+        metrics = _declared_metrics(spec, returned)
+        violations.extend(f"call {call + 1} of {calls}: {note}" for note in spec.violations(metrics))
 
     wall = np.asarray(times, dtype=ACCUMULATION_DTYPE)
     median = float(np.median(wall))
@@ -114,7 +114,23 @@ def measure(spec: BenchSpec, calibration: Calibration) -> BenchResult:
         },
         units=calibration.units(median) if spec.timebase == "machine" else median,
         metrics=metrics,
+        violations=violations,
     )
+
+
+def _declared_metrics(spec: BenchSpec, returned: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """The declared metrics out of one payload call's return value."""
+    if not spec.metrics:
+        return {}
+    if not isinstance(returned, dict):
+        raise TypeError(
+            f"benchmark {spec.name!r} declares metrics {spec.metrics} but its "
+            f"payload returned {type(returned).__name__}, not a dict"
+        )
+    missing = [key for key in spec.metrics if key not in returned]
+    if missing:
+        raise KeyError(f"benchmark {spec.name!r} payload omitted declared metrics {missing}")
+    return {key: returned[key] for key in spec.metrics}
 
 
 def run_suite(

@@ -20,6 +20,7 @@ cannot silently stop reporting a number a dashboard relies on.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: The suites a spec may belong to.  ``smoke`` is the CI gate (seconds
@@ -37,6 +38,13 @@ TIMEBASES = ("machine", "wall")
 #: counts as a regression.  Generous on purpose: the gate must survive
 #: shared CI runners; a real regression in these payloads is 2x+.
 DEFAULT_TOLERANCE = 0.75
+
+#: The comparisons a bound may declare, by their written form.
+COMPARISONS: Dict[str, Callable[[Any, Any], bool]] = {
+    ">=": operator.ge,
+    "<=": operator.le,
+    "<": operator.lt,
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,6 +76,14 @@ class BenchSpec:
     timebase:
         One of :data:`TIMEBASES`: ``machine`` (default) gates on
         calibration-normalised units, ``wall`` on raw seconds.
+    bounds:
+        Contracts on declared metrics, each ``(metric, comparison,
+        threshold)`` with a comparison from :data:`COMPARISONS`, e.g.
+        ``("speedup", ">=", 1.5)``.  The harness checks every payload
+        call, warmup included, and records each violation on the
+        result, which ``compare`` then fails.  A payload reports its
+        bounded metrics unrounded: rounding could lift a value over
+        its bound.
     """
 
     name: str
@@ -80,6 +96,7 @@ class BenchSpec:
     repeats: int = 5
     tolerance: float = DEFAULT_TOLERANCE
     timebase: str = "machine"
+    bounds: Tuple[Tuple[str, str, float], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name or any(sep in self.name for sep in "/\\ "):
@@ -93,6 +110,21 @@ class BenchSpec:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.timebase not in TIMEBASES:
             raise ValueError(f"timebase must be one of {TIMEBASES}, got {self.timebase!r}")
+        for metric, comparison, _ in self.bounds:
+            if metric not in self.metrics:
+                raise ValueError(f"bound on {metric!r}, which is not among metrics {self.metrics}")
+            if comparison not in COMPARISONS:
+                raise ValueError(
+                    f"bound comparison must be one of {tuple(COMPARISONS)}, got {comparison!r}"
+                )
+
+    def violations(self, metrics: Dict[str, Any]) -> List[str]:
+        """A note naming each declared bound that ``metrics`` breaks."""
+        return [
+            f"{metric} = {metrics[metric]!r} breaks {metric} {comparison} {threshold!r}"
+            for metric, comparison, threshold in self.bounds
+            if not COMPARISONS[comparison](metrics[metric], threshold)
+        ]
 
 
 #: The process-wide registry: ``{spec.name: spec}`` in registration order.

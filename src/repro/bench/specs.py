@@ -6,8 +6,13 @@ available_benchmarks`` is enough to see the table).  Payload sizes are
 deliberately small: the ``smoke`` suite is a CI gate that must finish
 in seconds, and regressions in these paths are algorithmic (a lost
 fast-path, an accidental copy), which small payloads expose just as
-well as large ones.  The heavier end-to-end numbers stay with the
-pytest benchmark suite under ``benchmarks/``.
+well as large ones.
+
+A contract that depends on host speed (a speedup, an overhead share, a
+tail latency) is a declared bound on the spec, which ``repro.bench
+compare`` enforces; a payload raises only on contract loss that no
+host can excuse (lost requests, non-finite numbers, an artifact that
+did not shrink).
 """
 
 from __future__ import annotations
@@ -34,8 +39,10 @@ from repro.serve.artifact import export_artifact
 from repro.serve.batching import MicroBatcher
 from repro.serve.engine import EngineConfig, ServingEngine
 from repro.serve.fleet import FleetConfig, FleetSupervisor
-from repro.tensor import Tensor, conv2d, cross_entropy, no_grad
+from repro.tensor import Tensor, conv2d, cross_entropy, default_dtype_scope, no_grad
 from repro.tensor import sparse as _sparse
+from repro.tensor.dtypes import SUPPORTED_DTYPES
+from repro.utils.timing import best_wall
 
 
 # ----------------------------------------------------------------------
@@ -190,6 +197,56 @@ register(
         setup=_fused_setup,
         payload=_fused_payload,
         repeats=7,
+    )
+)
+
+
+def _dtype_speedup_setup() -> Dict[str, Any]:
+    images, labels = _train_batch(32)
+    models = {}
+    for dtype in SUPPORTED_DTYPES:
+        with default_dtype_scope(dtype):
+            models[dtype] = ClassifierHead(resnet18(base_width=16, seed=0), num_classes=10, seed=1)
+    return {"models": models, "images": images, "labels": labels}
+
+
+def _dtype_speedup_payload(state) -> Dict[str, Any]:
+    """Training step under the float32 default vs the float64 path it replaced.
+
+    A wider backbone than ``engine.train_step``, so the im2col GEMMs
+    dominate per-op python overhead, which is where the precision
+    choice pays off.  Each dtype takes the best of 3 steps after a
+    warmup, float64 first.
+    """
+    single, double = SUPPORTED_DTYPES
+    step_s = {}
+    for dtype in (double, single):
+        model = state["models"][dtype]
+        with default_dtype_scope(dtype):
+            step_s[dtype] = best_wall(
+                lambda: _train_step(model, state["images"], state["labels"]), repeats=3
+            )
+    return {
+        "speedup": step_s[double] / step_s[single],
+        "float32_step_ms": round(step_s[single] * 1e3, 2),
+        "float64_step_ms": round(step_s[double] * 1e3, 2),
+    }
+
+
+register(
+    BenchSpec(
+        name="engine.float32_speedup",
+        title="ResNet-18 training step, float32 over float64 (width 16, batch 32, >= 1.5x)",
+        setup=_dtype_speedup_setup,
+        payload=_dtype_speedup_payload,
+        metrics=("speedup", "float32_step_ms", "float64_step_ms"),
+        # One call is the whole paired measurement (each dtype warms
+        # itself), and the bound is checked on every call: more calls
+        # would make the contract stricter than the single measurement
+        # it has always been.
+        warmup=0,
+        repeats=1,
+        bounds=(("speedup", ">=", 1.5),),
     )
 )
 
@@ -379,10 +436,6 @@ register(
 _FLEET_CLIENTS = 4
 _FLEET_REQUESTS = 16  # per client
 _FLEET_KILL_AFTER = 10  # shard 0 dies mid-load (chaos re-arms per incarnation)
-#: Tail budget: one full shard respawn (process start + warm artifact
-#: load) plus scheduling slack.  Failover parks and re-routes the dead
-#: shard's in-flight requests, so the p99 absorbs the restart pause.
-_FLEET_P99_BUDGET_MS = 15_000.0
 
 
 def _sealed_setup() -> Dict[str, Any]:
@@ -410,8 +463,9 @@ def _fleet_payload(state) -> Dict[str, Any]:
     The timed quantity is the whole recovery story — spawn, routing,
     crash detection, drain-and-re-route, restart — under a client load
     that keeps both shards busy while the chaos hook fires.  Every
-    request's latency feeds a histogram whose p99 must stay inside one
-    respawn budget: failover may pause a tail request, never strand it.
+    request's latency feeds a histogram whose p99 the spec bounds by
+    one respawn budget: failover may pause a tail request, never strand
+    it.
     """
     config = FleetConfig(
         shards=2,
@@ -432,34 +486,18 @@ def _fleet_payload(state) -> Dict[str, Any]:
         raise RuntimeError(f"the chaos kill never fired; stats: {stats}")
     if stats["completed"] != stats["accepted"]:
         raise RuntimeError(f"accepted != completed under failover; stats: {stats}")
-    p99_ms = latency.read()["p99"] * 1000.0
-    if p99_ms > _FLEET_P99_BUDGET_MS:
-        raise RuntimeError(
-            f"failover tail blew the budget: p99 {p99_ms:.1f}ms > {_FLEET_P99_BUDGET_MS}ms"
-        )
     total = _FLEET_CLIENTS * _FLEET_REQUESTS
     return {
         "requests_per_s": round(total / elapsed, 1),
         "crashes": stats["crashes"],
         "rerouted": stats["rerouted"],
-        "latency_p99_ms": round(p99_ms, 3),
+        "latency_p99_ms": latency.read()["p99"] * 1000.0,
     }
 
 
 # ----------------------------------------------------------------------
 # sparse.*  — sparse execution: compaction speedup + CSR crossover
 # ----------------------------------------------------------------------
-def _best_of(fn, repeats: int = 4) -> float:
-    """Minimum wall-time of ``repeats`` calls (first call is the warmup)."""
-    fn()
-    best = float("inf")
-    for _ in range(repeats):
-        begin = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - begin)
-    return best
-
-
 def _compact_setup() -> Dict[str, Any]:
     model = ClassifierHead(resnet18(base_width=16, seed=0), num_classes=10, seed=1)
     mask = magnitude_mask(model, sparsity=0.9, granularity="channel")
@@ -480,10 +518,10 @@ def _compact_setup() -> Dict[str, Any]:
 def _compact_payload(state) -> Dict[str, Any]:
     """Same batch through the masked-dense and the compacted fused graph.
 
-    The ISSUE-level contract — a 90%-channel-sparse ticket must run at
-    least 1.5x faster once physically compacted — is asserted here, so
-    the gate fails on contract loss (a broken dispatch, a de-compacted
-    export) and not just on raw-time drift.
+    The spec bounds the speedup: a 90%-channel-sparse ticket must run
+    at least 1.5x faster once physically compacted, so the gate fails
+    on contract loss (a broken dispatch, a de-compacted export) and not
+    just on raw-time drift.
     """
     images = Tensor(state["images"])
 
@@ -493,16 +531,9 @@ def _compact_payload(state) -> Dict[str, Any]:
         if not np.all(np.isfinite(logits)):
             raise FloatingPointError("sparse bench produced non-finite logits")
 
-    dense_s = _best_of(lambda: run(state["dense"]))
-    compact_s = _best_of(lambda: run(state["compacted"]))
-    speedup = dense_s / compact_s
-    if speedup < 1.5:
-        raise RuntimeError(
-            f"compacted inference is only {speedup:.2f}x faster than masked-dense "
-            f"(dense {dense_s * 1e3:.2f}ms, compacted {compact_s * 1e3:.2f}ms); "
-            "the >= 1.5x contract at 90% channel sparsity is broken"
-        )
-    return {"speedup": round(speedup, 2), "removed_channels": state["removed"]}
+    dense_s = best_wall(lambda: run(state["dense"]), repeats=4)
+    compact_s = best_wall(lambda: run(state["compacted"]), repeats=4)
+    return {"speedup": dense_s / compact_s, "removed_channels": state["removed"]}
 
 
 register(
@@ -513,6 +544,7 @@ register(
         payload=_compact_payload,
         metrics=("speedup", "removed_channels"),
         repeats=5,
+        bounds=(("speedup", ">=", 1.5),),
     )
 )
 
@@ -543,9 +575,9 @@ def _csr_payload(state) -> Dict[str, Any]:
     rhs = state["rhs"]
     speedups = {}
     for zero_fraction, weight in state["weights"].items():
-        dense_s = _best_of(lambda: weight @ rhs, repeats=3)
+        dense_s = best_wall(lambda: weight @ rhs, repeats=3)
         with _sparse.sparse_policy_scope(mode="force"):
-            csr_s = _best_of(lambda: _sparse.maybe_sparse_gemm(weight, rhs), repeats=3)
+            csr_s = best_wall(lambda: _sparse.maybe_sparse_gemm(weight, rhs), repeats=3)
         speedups[zero_fraction] = dense_s / csr_s
     _sparse.clear_cache()
     crossover = next(
@@ -653,6 +685,11 @@ register(
         repeats=3,
         tolerance=1.5,
         timebase="wall",
+        # Tail budget: one full shard respawn (process start + warm
+        # artifact load) plus scheduling slack.  Failover parks and
+        # re-routes the dead shard's in-flight requests, so the p99
+        # absorbs the restart pause.
+        bounds=(("latency_p99_ms", "<=", 15_000.0),),
     )
 )
 
@@ -663,7 +700,6 @@ register(
 _OBS_RECORD_ITERS = 2000
 _OBS_REQUESTS = 24
 _OBS_ROWS = 8  # rows per request: the tuned micro-batch occupancy
-_OBS_MAX_OVERHEAD_PCT = 2.0
 
 
 def _metrics_overhead_setup() -> Dict[str, Any]:
@@ -702,10 +738,10 @@ def _metrics_overhead_setup() -> Dict[str, Any]:
 def _metrics_overhead_payload(state) -> Dict[str, Any]:
     """Record-sequence cost vs real request service time, same run.
 
-    The ISSUE-level contract — instrumenting the hot path must cost
-    under 2% of a request's service time — is asserted here, so the
-    gate fails on contract loss (a heavyweight instrument, a registry
-    lookup leaking onto the hot path) and not just on raw-time drift.
+    The spec bounds the overhead: instrumenting the hot path must cost
+    under 2% of a request's service time, so the gate fails on contract
+    loss (a heavyweight instrument, a registry lookup leaking onto the
+    hot path) and not just on raw-time drift.
     """
 
     def record_loop(instruments) -> None:
@@ -720,8 +756,8 @@ def _metrics_overhead_payload(state) -> Dict[str, Any]:
             coalesce.observe(0.0012)
             forward.observe(0.0034)
 
-    live_s = _best_of(lambda: record_loop(state["live"]))
-    null_s = _best_of(lambda: record_loop(state["null"]))
+    live_s = best_wall(lambda: record_loop(state["live"]), repeats=4)
+    null_s = best_wall(lambda: record_loop(state["null"]), repeats=4)
 
     samples = state["samples"]
     with ServingEngine(
@@ -732,23 +768,16 @@ def _metrics_overhead_payload(state) -> Dict[str, Any]:
             for _ in range(_OBS_REQUESTS):
                 engine.predict(samples)
 
-        service_s = _best_of(lambda: serve())
+        service_s = best_wall(serve, repeats=4)
 
     record_us = live_s / _OBS_RECORD_ITERS * 1e6
     null_us = null_s / _OBS_RECORD_ITERS * 1e6
     service_us = service_s / _OBS_REQUESTS * 1e6
-    overhead_pct = record_us / service_us * 100.0
-    if overhead_pct >= _OBS_MAX_OVERHEAD_PCT:
-        raise RuntimeError(
-            f"instrumenting a request costs {record_us:.2f}us against a "
-            f"{service_us:.0f}us service time ({overhead_pct:.2f}% >= "
-            f"{_OBS_MAX_OVERHEAD_PCT}% budget)"
-        )
     return {
         "record_us": round(record_us, 3),
         "null_us": round(null_us, 3),
         "service_us": round(service_us, 1),
-        "overhead_pct": round(overhead_pct, 4),
+        "overhead_pct": record_us / service_us * 100.0,
     }
 
 
@@ -761,9 +790,10 @@ register(
         metrics=("record_us", "null_us", "service_us", "overhead_pct"),
         repeats=5,
         # The payload is dominated by real forward passes (CPU-bound),
-        # but the contract assertion inside it is the actual gate; the
-        # band only needs to catch gross record-path slowdowns.
+        # but the overhead bound is the actual gate; the band only
+        # needs to catch gross record-path slowdowns.
         tolerance=1.0,
+        bounds=(("overhead_pct", "<", 2.0),),
     )
 )
 
@@ -773,15 +803,14 @@ register(
 # ----------------------------------------------------------------------
 _BATCH_CLIENTS = 8
 _BATCH_REQUESTS = 25  # per client
-_BATCH_MIN_SPEEDUP = 2.0
 
 
 def _engine_batching_payload(state) -> Dict[str, Any]:
     """Concurrent clients through a batching engine vs a serial loop.
 
-    The headline claim of the serving layer — coalescing concurrent
-    single-sample requests serves at least 2x the requests per second
-    of a server that runs each one alone — is asserted here, so the
+    The spec bounds the headline claim of the serving layer —
+    coalescing concurrent single-sample requests serves at least 2x the
+    requests per second of a server that runs each one alone — so the
     gate fails on contract loss (windows that stop coalescing), not
     just on raw-time drift.
     """
@@ -800,15 +829,8 @@ def _engine_batching_payload(state) -> Dict[str, Any]:
         if failures:
             raise RuntimeError(f"{label} serving failed a request: {failures[0]!r}")
         rates[label] = total / elapsed
-    speedup = rates["batched"] / rates["single"]
-    if speedup < _BATCH_MIN_SPEEDUP:
-        raise RuntimeError(
-            f"batched serving ({rates['batched']:.0f} req/s) is only {speedup:.2f}x the "
-            f"one-at-a-time baseline ({rates['single']:.0f} req/s); the "
-            f">= {_BATCH_MIN_SPEEDUP}x batching contract is broken"
-        )
     return {
-        "speedup": round(speedup, 2),
+        "speedup": rates["batched"] / rates["single"],
         "single_requests_per_s": round(rates["single"], 1),
         "batched_requests_per_s": round(rates["batched"], 1),
     }
@@ -823,9 +845,9 @@ register(
         metrics=("speedup", "single_requests_per_s", "batched_requests_per_s"),
         repeats=5,
         # Like serve.microbatch: bound by thread handoffs, so raw
-        # seconds and a wide band; the in-payload 2x contract is the
-        # real gate.
+        # seconds and a wide band; the 2x bound is the real gate.
         tolerance=1.5,
         timebase="wall",
+        bounds=(("speedup", ">=", 2.0),),
     )
 )

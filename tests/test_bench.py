@@ -111,6 +111,8 @@ def test_suite_benchmarks_unknown_suite():
         {"warmup": -1},
         {"tolerance": 0.0},
         {"timebase": "cycles"},
+        {"bounds": (("rows", ">=", 1.0),)},
+        {"metrics": ("rows",), "bounds": (("rows", "=>", 1.0),)},
     ],
 )
 def test_spec_validation(overrides):
@@ -138,6 +140,54 @@ def test_measure_validates_metric_schema():
         measure(_spec(payload=lambda state: {"other": 1}, metrics=("rows",)), UNIT)
 
 
+def _bounded_spec(values, bound, warmup=0, **overrides):
+    """A spec whose payload reports ``values`` in turn as its ``speedup``."""
+    reported = iter(values)
+    return _spec(
+        payload=lambda state: {"speedup": next(reported)},
+        metrics=("speedup",),
+        bounds=(bound,),
+        warmup=warmup,
+        repeats=len(values) - warmup,
+        **overrides,
+    )
+
+
+def test_measure_records_a_broken_bound_on_any_call():
+    # The warmup call is checked too, and the note names the call, the
+    # metric, its value and the bound.
+    spec = _bounded_spec([1.4, 2.0, 2.0], ("speedup", ">=", 1.5), warmup=1)
+    result = measure(spec, UNIT)
+    assert result.violations == ["call 1 of 3: speedup = 1.4 breaks speedup >= 1.5"]
+    assert result.metrics == {"speedup": 2.0}
+    assert not measure(_bounded_spec([2.0, 2.0], ("speedup", ">=", 1.5)), UNIT).violations
+
+
+def test_bounds_compare_exactly_at_the_threshold():
+    # A value exactly at a >= floor passes, exactly at a < ceiling
+    # fails, and nothing is rounded on the way (1.4999 is not 1.5).
+    assert not measure(_bounded_spec([1.5], ("speedup", ">=", 1.5)), UNIT).violations
+    assert measure(_bounded_spec([1.4999], ("speedup", ">=", 1.5)), UNIT).violations
+    assert measure(_bounded_spec([2.0], ("speedup", "<", 2.0)), UNIT).violations
+    assert not measure(_bounded_spec([1.9999], ("speedup", "<", 2.0)), UNIT).violations
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [
+        ("sparse.compact_inference", ("speedup", ">=", 1.5)),
+        ("serve.engine_batching", ("speedup", ">=", 2.0)),
+        ("serve.metrics_overhead", ("overhead_pct", "<", 2.0)),
+        ("serve.fleet_resilience", ("latency_p99_ms", "<=", 15_000.0)),
+        ("engine.float32_speedup", ("speedup", ">=", 1.5)),
+    ],
+)
+def test_host_timing_contracts_keep_their_bounds(name, bound):
+    # Each was an in-payload (or in-test) assertion with this metric,
+    # comparison and threshold; loosening one must fail here.
+    assert get_bench(name).bounds == (bound,)
+
+
 def test_artifact_round_trip(tmp_path):
     artifact = run_suite([_spec()], suite="smoke", calibration=UNIT)
     path = write_artifact(str(tmp_path / "run.json"), artifact)
@@ -152,6 +202,18 @@ def test_artifact_round_trip(tmp_path):
     assert result.units == pytest.approx(calibration.units(result.wall_s["median"]))
     assert result.tolerance == _spec().tolerance
     assert result.timebase == "machine"
+    assert result.violations == []
+
+
+def test_artifact_round_trip_keeps_violations(tmp_path):
+    artifact = run_suite([_bounded_spec([1.0], ("speedup", ">=", 1.5))], calibration=UNIT)
+    path = write_artifact(str(tmp_path / "run.json"), artifact)
+    (result,) = artifact_results(load_artifact(path))
+    assert result.violations == ["call 1 of 1: speedup = 1.0 breaks speedup >= 1.5"]
+    # An artifact written before bounds existed reads as having none.
+    del artifact["results"][0]["violations"]
+    (older,) = artifact_results(artifact)
+    assert older.violations == []
 
 
 def test_wall_timebase_skips_calibration_normalisation():
@@ -266,6 +328,36 @@ def test_compare_corrupt_committed_baseline_fails_the_gate(tmp_path, temp_regist
     assert bench_main(["compare", run_path, "--baselines", str(tmp_path)]) == 1
 
 
+def test_compare_fails_a_broken_bound_with_or_without_a_baseline(tmp_path, temp_register):
+    name = "test.contract"
+    temp_register(_bounded_spec([1.0, 1.0], ("speedup", ">=", 1.5), name=name))
+    artifact = run_suite([BENCHMARKS[name]], calibration=UNIT)
+    empty, neutral = BaselineStore(str(tmp_path / "none")), BaselineStore(str(tmp_path))
+    (result,) = artifact_results(artifact)
+    neutral.save(Baseline.from_result(result, UNIT))
+    for store in (empty, neutral):
+        (verdict,) = compare_artifact(artifact, store)
+        assert verdict.status == "contract"
+        assert verdict.failing and has_regression([verdict])
+        assert "speedup = 1.0 breaks speedup >= 1.5" in verdict.note
+        assert verdict.note in render_verdicts([verdict])
+    run_path = str(tmp_path / "run.json")
+    write_artifact(run_path, artifact)
+    for store in (empty, neutral):
+        assert bench_main(["compare", run_path, "--baselines", store.root]) == 1
+
+
+def test_cli_update_baseline_refuses_a_broken_bound(tmp_path, temp_register, capsys):
+    name = "test.unblessable"
+    temp_register(_bounded_spec([1.0], ("speedup", ">=", 1.5), name=name))
+    run_path = str(tmp_path / "run.json")
+    write_artifact(run_path, run_suite([BENCHMARKS[name]], calibration=UNIT))
+    baselines = tmp_path / "baselines"
+    assert bench_main(["update-baseline", run_path, "--baselines", str(baselines)]) == 1
+    assert "speedup >= 1.5" in capsys.readouterr().err
+    assert BaselineStore(str(baselines)).load(name) is None
+
+
 def test_render_verdicts_mentions_every_spec():
     verdicts = [
         compare_measurement("a.fast", 1.0, 1.0, tolerance=0.5),
@@ -289,7 +381,6 @@ def test_baseline_store_round_trip(tmp_path):
     assert loaded.units == saved.units
     assert loaded.calibration == UNIT
     assert loaded.source_suite == "smoke"
-    assert store.specs() == ["test.cheap"]
 
 
 def test_baseline_store_misses(tmp_path):
@@ -304,14 +395,16 @@ def test_baseline_store_misses(tmp_path):
     (tmp_path / "BENCH_serve.json").write_text(json.dumps({"format": "repro-serve-bench/v1"}))
     with pytest.raises(ValueError, match="baseline"):
         store.load("BENCH_serve")
-    # The listing is tolerant and simply skips both.
-    assert store.specs() == []
 
 
 # ----------------------------------------------------------------------
 # CLI: run -> bless -> gate, including a deliberate injected slowdown
 # ----------------------------------------------------------------------
-def test_cli_gate_detects_injected_slowdown(tmp_path, temp_register, capsys):
+def test_cli_gate_detects_injected_slowdown(tmp_path, temp_register, capsys, monkeypatch):
+    # Each `run` would measure its own calibration unit, and on a loaded
+    # host one unit can read 10x another, which hides the slowdown; pin
+    # it so the test sees only the payload.
+    monkeypatch.setattr("repro.bench.harness.calibrate", lambda: UNIT)
     name = "test.gate"
     temp_register(_spec(name, payload=lambda state: time.sleep(0.002), tolerance=0.5))
     run_path = str(tmp_path / "run.json")
