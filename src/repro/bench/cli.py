@@ -119,6 +119,8 @@ def _cmd_run(args) -> int:
             f"  {result.spec:<32} {result.wall_s['median'] * 1e3:>9.2f}ms  "
             f"{result.units:>8.2f} units"
         )
+        for note in result.violations:
+            print(f"  {'':<32} ! {note}")
     print(f"\nwrote {len(artifact['results'])} measurements to {path}")
     return 0
 

@@ -19,8 +19,9 @@ its own relative tolerance; the verdict for a spec is
   be parsed or read; fails the gate (a corrupt blessed number must
   not silently degrade to an ungated ``no_baseline``),
 * ``contract``     — a payload call broke one of the spec's declared
-  bounds (``speedup >= 1.5``); fails the gate with or without a
-  baseline, and the note names the metric, its value and the bound.
+  bounds (``speedup >= 1.5``), or the spec raised; fails the gate with
+  or without a baseline, and the note names the metric, its value and
+  the bound, or the exception.
   It replaces whatever the timing alone would have said.
 
 Zero-length timings (a payload faster than the clock tick, or a

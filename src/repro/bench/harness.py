@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional
@@ -32,6 +33,8 @@ from repro.utils.timing import best_wall  # noqa: F401  (re-export: ad-hoc paire
 
 #: Format tag stamped into (and required from) benchmark run artifacts.
 ARTIFACT_FORMAT = "repro-bench/v1"
+
+_logger = logging.getLogger(__name__)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,19 +136,47 @@ def _declared_metrics(spec: BenchSpec, returned: Optional[Dict[str, Any]]) -> Di
     return {key: returned[key] for key in spec.metrics}
 
 
+def _raised(spec: BenchSpec, error: Exception) -> BenchResult:
+    """The result of a spec whose setup or payload raised: no timings, one violation."""
+    return BenchResult(
+        spec=spec.name,
+        title=spec.title,
+        suites=list(spec.suites),
+        tolerance=spec.tolerance,
+        timebase=spec.timebase,
+        warmup=spec.warmup,
+        repeats=spec.repeats,
+        wall_s={"median": 0.0, "min": 0.0, "mean": 0.0, "max": 0.0},
+        units=0.0,
+        metrics={},
+        violations=[f"raised {type(error).__name__}: {error}"],
+    )
+
+
 def run_suite(
     specs: Iterable[BenchSpec],
     suite: str = "smoke",
     calibration: Optional[Calibration] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Any]:
-    """Measure every spec and assemble a ``repro-bench/v1`` artifact dict."""
+    """Measure every spec and assemble a ``repro-bench/v1`` artifact dict.
+
+    A spec that raises is recorded as a result whose violation names the
+    exception, so the remaining specs are still measured and the gate
+    fails that one with a ``contract`` verdict.
+    """
     calibration = calibration if calibration is not None else calibrate()
     results = []
     for spec in specs:
         if progress is not None:
             progress(spec.name)
-        results.append(measure(spec, calibration).as_dict())
+        try:
+            result = measure(spec, calibration)
+        except Exception as error:
+            # One broken spec must not cost the others their verdicts.
+            _logger.exception("benchmark %r raised; recorded as a violation", spec.name)
+            result = _raised(spec, error)
+        results.append(result.as_dict())
     return {
         "format": ARTIFACT_FORMAT,
         "suite": suite,

@@ -108,7 +108,7 @@ register(
 register(
     BenchSpec(
         name="tensor.conv2d_train",
-        title="conv2d forward+backward (im2col + col2im scatter, x4)",
+        title="conv2d forward+backward (im2col + col2im fold, x4)",
         setup=_conv_setup,
         payload=_conv_train_payload,
         repeats=7,

@@ -37,7 +37,7 @@ import threading
 import time
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -161,8 +161,6 @@ class FleetConfig:
     shards: int = 2
     #: Engine knobs every shard's ServingEngines are built with.
     engine: EngineConfig = field(default_factory=EngineConfig)
-    #: Live shards a model's traffic spreads over (None: all shards).
-    replication: Optional[int] = None
     #: In-flight requests one shard may hold before admission rejects.
     max_pending_per_shard: int = 64
     #: Seconds between heartbeat pings to each live shard.
@@ -193,8 +191,6 @@ class FleetConfig:
             raise ValueError(
                 f"max_pending_per_shard must be >= 1, got {self.max_pending_per_shard}"
             )
-        if self.replication is not None and self.replication < 1:
-            raise ValueError(f"replication must be >= 1 or None, got {self.replication}")
         if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
             raise ValueError("heartbeat_timeout_s must exceed heartbeat_interval_s")
         if self.max_restarts < 0:
@@ -783,12 +779,7 @@ class FleetSupervisor:
                     break
         return order
 
-    def _dispatch(
-        self,
-        pending: _Pending,
-        admission: bool = True,
-        exclude: FrozenSet[int] = frozenset(),
-    ) -> None:
+    def _dispatch(self, pending: _Pending, admission: bool = True) -> None:
         """Pick a live shard for ``pending`` and send it.
 
         Admission (new work) is bounded per shard and rejects with
@@ -801,12 +792,10 @@ class FleetSupervisor:
         with self._lock:
             if self._closed:
                 raise FleetUnavailableError("fleet is closed")
-            order = [index for index in self._candidates(pending.name) if index not in exclude]
-            replication = self.config.replication
-            if replication is not None and admission:
-                order = order[:replication]
             live = [
-                self._slots[index] for index in order if self._slots[index].state == "live"
+                self._slots[index]
+                for index in self._candidates(pending.name)
+                if self._slots[index].state == "live"
             ]
             if not live:
                 if all(slot.state == "failed" for slot in self._slots):

@@ -65,9 +65,6 @@ from repro.tensor.conv import (
     max_pool2d,
     avg_pool2d,
     adaptive_avg_pool2d,
-    pad2d,
-    im2col,
-    col2im,
 )
 
 __all__ = [
@@ -105,7 +102,4 @@ __all__ = [
     "max_pool2d",
     "avg_pool2d",
     "adaptive_avg_pool2d",
-    "pad2d",
-    "im2col",
-    "col2im",
 ]

@@ -358,6 +358,38 @@ def test_cli_update_baseline_refuses_a_broken_bound(tmp_path, temp_register, cap
     assert BaselineStore(str(baselines)).load(name) is None
 
 
+def test_a_raising_spec_fails_the_gate_and_the_others_still_run(
+    tmp_path, temp_register, capsys, monkeypatch
+):
+    monkeypatch.setattr("repro.bench.harness.calibrate", lambda: UNIT)
+
+    def explode(state):
+        raise RuntimeError("threshold admits losing sparsities")
+
+    names = ["test.before", "test.raises", "test.after"]
+    temp_register(_spec(names[0]))
+    temp_register(_spec(names[1], payload=explode))
+    temp_register(_spec(names[2]))
+    with pytest.raises(RuntimeError):
+        measure(BENCHMARKS[names[1]], UNIT)
+
+    run_path = str(tmp_path / "run.json")
+    spec_args = [arg for name in names for arg in ("--spec", name)]
+    assert bench_main(["run", *spec_args, "--output", run_path]) == 0
+    note = "raised RuntimeError: threshold admits losing sparsities"
+    assert note in capsys.readouterr().out
+    results = artifact_results(load_artifact(run_path))
+    assert [result.spec for result in results] == names
+    assert [result.violations for result in results] == [[], [note], []]
+
+    baselines = str(tmp_path / "baselines")
+    assert bench_main(["compare", run_path, "--baselines", baselines]) == 1
+    out = capsys.readouterr().out
+    assert "contract" in out and note in out
+    assert bench_main(["update-baseline", run_path, "--baselines", baselines]) == 1
+    assert BaselineStore(baselines).load(names[1]) is None
+
+
 def test_render_verdicts_mentions_every_spec():
     verdicts = [
         compare_measurement("a.fast", 1.0, 1.0, tolerance=0.5),

@@ -1,4 +1,4 @@
-"""Unit tests for convolution, pooling and the im2col/col2im machinery."""
+"""Unit tests for convolution, pooling and the unfold/fold kernels they share."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,9 @@ from repro.tensor import (
     adaptive_avg_pool2d,
     conv2d,
     conv2d_transpose_upsample,
-    col2im,
-    im2col,
     max_pool2d,
-    pad2d,
 )
+from repro.tensor.conv import _col2im_t, _im2col_t
 
 from tests.helpers import check_gradient
 
@@ -39,14 +37,35 @@ def reference_conv2d(images, weight, bias, stride, padding):
     return output
 
 
+def padded_reference_unfold(images, kernel, stride, padding):
+    """Unfold a zero-padded copy of ``images`` into row-major ``(N*oh*ow, C*kh*kw)`` columns.
+
+    Row ``(n, o_h, o_w)`` holds one window, channels first and then
+    taps in row-major order; each tap is one strided slice of the
+    padded copy.
+    """
+    batch, channels = images.shape[:2]
+    (kernel_h, kernel_w), (stride_h, stride_w), (pad_h, pad_w) = kernel, stride, padding
+    padded = np.pad(images, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    out_h = (padded.shape[2] - kernel_h) // stride_h + 1
+    out_w = (padded.shape[3] - kernel_w) // stride_w + 1
+    taps = np.stack(
+        [
+            padded[:, :, i : i + stride_h * out_h : stride_h, j : j + stride_w * out_w : stride_w]
+            for i in range(kernel_h)
+            for j in range(kernel_w)
+        ]
+    )  # (kh*kw, N, C, oh, ow)
+    return taps.transpose(1, 3, 4, 2, 0).reshape(
+        batch * out_h * out_w, channels * kernel_h * kernel_w
+    )
+
+
 def padded_reference_fold(windows, image_shape, kernel, stride, padding):
     """Fold ``(N, C, kh, kw, oh, ow)`` windows into a zero-padded plane, then crop it.
 
-    Walks the taps in row-major order.  Where windows overlap (a kernel
-    larger than its stride on either axis) each tap adds onto the zeros,
-    so every element sums its contributions in tap order.  Where they
-    never overlap an element receives at most one value, which is
-    written as it is.
+    Walks the taps in row-major order, each adding onto the zeros, so
+    every element sums its contributions in tap order.
     """
     batch, channels, height, width = image_shape
     (kernel_h, kernel_w), (stride_h, stride_w), (pad_h, pad_w) = kernel, stride, padding
@@ -54,16 +73,11 @@ def padded_reference_fold(windows, image_shape, kernel, stride, padding):
     plane = np.zeros(
         (batch, channels, height + 2 * pad_h, width + 2 * pad_w), dtype=windows.dtype
     )
-    overlapping = kernel_h > stride_h or kernel_w > stride_w
     for i in range(kernel_h):
         for j in range(kernel_w):
-            target = plane[
+            plane[
                 :, :, i : i + stride_h * out_h : stride_h, j : j + stride_w * out_w : stride_w
-            ]
-            if overlapping:
-                target += windows[:, :, i, j]
-            else:
-                target[...] = windows[:, :, i, j]
+            ] += windows[:, :, i, j]
     return np.ascontiguousarray(plane[:, :, pad_h : pad_h + height, pad_w : pad_w + width])
 
 
@@ -114,27 +128,23 @@ def _window_cases(rng, geometry):
 class TestIm2Col:
     def test_shapes(self, rng):
         images = rng.normal(size=(2, 3, 8, 8))
-        columns, out_size = im2col(images, (3, 3), (1, 1), (1, 1))
+        columns_t, out_size = _im2col_t(images, (3, 3), (1, 1), (1, 1))
         assert out_size == (8, 8)
-        assert columns.shape == (2 * 8 * 8, 3 * 3 * 3)
+        assert columns_t.shape == (3 * 3 * 3, 2 * 8 * 8)
 
     @pytest.mark.parametrize("geometry", WINDOW_GEOMETRIES, ids=_geometry_id)
     def test_transposed_layout_matches_row_layout(self, rng, geometry):
-        """The engine's transposed unfold is the row-major unfold, transposed, to the byte.
+        """``_im2col_t`` is the row-major reference unfold, transposed, to the byte.
 
-        Pins the production ``_im2col_t`` (used by ``conv2d``, which
-        clips windows instead of padding) to the public reference
-        ``im2col`` (which pads with ``np.pad``), signed zeros included,
-        so the two implementations cannot drift apart.
+        ``_im2col_t`` clips windows to the image;
+        ``padded_reference_unfold`` slices a zero-padded copy.  The two
+        must agree signed zeros included.
         """
-        from repro.tensor.conv import _im2col_t
-
         kernel, stride, padding = geometry
         checked = 0
         for images, _ in _window_cases(rng, geometry):
-            columns, out_size = im2col(images, kernel, stride, padding)
-            columns_t, out_size_t = _im2col_t(images, kernel, stride, padding)
-            assert out_size == out_size_t
+            columns = padded_reference_unfold(images, kernel, stride, padding)
+            columns_t, _ = _im2col_t(images, kernel, stride, padding)
             assert columns_t.dtype == images.dtype
             assert columns_t.shape == columns.T.shape
             assert columns_t.tobytes() == np.ascontiguousarray(columns.T).tobytes()
@@ -143,19 +153,8 @@ class TestIm2Col:
 
     @pytest.mark.parametrize("geometry", WINDOW_GEOMETRIES, ids=_geometry_id)
     def test_folds_match_padded_reference(self, rng, geometry):
-        """``_col2im_t`` and ``col2im`` equal a fold over a padded plane, to the byte.
-
-        Large overlapping kernels fold through ``np.add.reduceat``,
-        whose summation order numpy does not specify, so on that branch
-        the fold agrees with the reference to rounding only.  Every
-        other geometry must match byte for byte, signed zeros included.
-        """
-        from repro.tensor.conv import _SCATTER_MIN_TAPS, _col2im_t
-
+        """``_col2im_t`` equals a fold over a padded plane, to the byte, signed zeros included."""
         kernel, stride, padding = geometry
-        segmented = (kernel[0] > stride[0] or kernel[1] > stride[1]) and (
-            kernel[0] * kernel[1] > _SCATTER_MIN_TAPS
-        )
         checked = 0
         for images, columns_t in _window_cases(rng, geometry):
             batch, channels = images.shape[:2]
@@ -165,51 +164,39 @@ class TestIm2Col:
                 channels, kernel[0], kernel[1], batch, out_h, out_w
             ).transpose(3, 0, 1, 2, 4, 5)
             expected = padded_reference_fold(windows, images.shape, kernel, stride, padding)
-            folded_t = _col2im_t(columns_t, images.shape, kernel, stride, padding)
-            folded = col2im(
-                np.ascontiguousarray(columns_t.T), images.shape, kernel, stride, padding
-            )
-            for result in (folded_t, folded):
-                assert result.shape == images.shape and result.dtype == images.dtype
-                if segmented:
-                    tolerance = 64 * np.finfo(images.dtype).eps
-                    np.testing.assert_allclose(result, expected, rtol=tolerance, atol=tolerance)
-                else:
-                    assert np.ascontiguousarray(result).tobytes() == expected.tobytes()
+            folded = _col2im_t(columns_t, images.shape, kernel, stride, padding)
+            assert folded.shape == images.shape and folded.dtype == images.dtype
+            assert folded.tobytes() == expected.tobytes()
             checked += 1
         assert checked
 
     def test_invalid_geometry_raises(self, rng):
         images = rng.normal(size=(1, 1, 2, 2))
         with pytest.raises(ValueError):
-            im2col(images, (5, 5), (1, 1), (0, 0))
+            _im2col_t(images, (5, 5), (1, 1), (0, 0))
 
     @pytest.mark.parametrize(
         "kernel,stride,padding",
         [
             ((3, 3), (2, 2), (1, 1)),
-            ((1, 1), (1, 1), (0, 0)),  # 1x1 fast path: direct strided write
-            ((2, 2), (2, 2), (0, 0)),  # non-overlapping fast path (pooling)
-            ((5, 5), (1, 1), (2, 2)),  # >16-tap path: segmented reduceat scatter
+            ((1, 1), (1, 1), (0, 0)),
+            ((2, 2), (2, 2), (0, 0)),
+            ((5, 5), (1, 1), (2, 2)),
         ],
-        ids=["3x3-overlap", "1x1", "non-overlap", "5x5-scatter"],
+        ids=["3x3-overlap", "1x1", "non-overlap", "5x5-overlap"],
     )
     def test_col2im_is_adjoint_of_im2col(self, rng, kernel, stride, padding):
-        """<im2col(x), y> == <x, col2im(y)> — the defining adjoint property.
-
-        Parametrised over every dispatch branch of ``col2im`` (strided
-        write, scatter-add, strided-add loop).
-        """
+        """<unfold(x), y> == <x, fold(y)> — the defining adjoint property."""
         images = rng.normal(size=(2, 3, 6, 6))
-        columns, _ = im2col(images, kernel, stride, padding)
-        probe = rng.normal(size=columns.shape)
-        lhs = float((columns * probe).sum())
-        folded = col2im(probe, images.shape, kernel, stride, padding)
+        columns_t, _ = _im2col_t(images, kernel, stride, padding)
+        probe = rng.normal(size=columns_t.shape)
+        lhs = float((columns_t * probe).sum())
+        folded = _col2im_t(probe, images.shape, kernel, stride, padding)
         rhs = float((images * folded).sum())
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_large_kernel_conv_gradient(self, rng):
-        """5x5 stride-1 convolutions exercise the reduceat scatter branch."""
+        """5x5 stride-1 convolutions (25 taps, most overlapping) fold correctly."""
         weight = rng.normal(size=(2, 2, 5, 5))
         images = rng.normal(size=(2, 2, 6, 6))
         check_gradient(
@@ -257,6 +244,14 @@ class TestConv2d:
         )
 
 
+#: Pooling windows that overlap (kernel > stride), as ``(kernel, stride)``.
+OVERLAPPING_POOLS = [
+    pytest.param(3, 2, id="k3-s2"),
+    pytest.param(3, 1, id="k3-s1"),
+    pytest.param(2, 1, id="k2-s1"),
+]
+
+
 class TestPooling:
     def test_max_pool_forward(self):
         images = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
@@ -274,6 +269,39 @@ class TestPooling:
         np.testing.assert_allclose(out.data, expected)
         check_gradient(lambda t: (avg_pool2d(t, 2) ** 2).sum(), images, dtype=grad_dtype)
 
+    @pytest.mark.parametrize("kernel,stride", OVERLAPPING_POOLS)
+    def test_overlapping_pools_match_reference_unfold(self, rng, kernel, stride):
+        images = rng.normal(size=(2, 3, 7, 7))
+        columns = padded_reference_unfold(
+            images.reshape(6, 1, 7, 7), (kernel, kernel), (stride, stride), (0, 0)
+        )
+        out_size = (7 - kernel) // stride + 1
+        out_shape = (2, 3, out_size, out_size)
+        max_out = max_pool2d(Tensor(images), kernel, stride)
+        assert max_out.data.tobytes() == columns.max(axis=1).reshape(out_shape).tobytes()
+        avg_out = avg_pool2d(Tensor(images), kernel, stride)
+        np.testing.assert_allclose(avg_out.data, columns.mean(axis=1).reshape(out_shape))
+
+    @pytest.mark.parametrize("kernel,stride", OVERLAPPING_POOLS)
+    def test_overlapping_max_pool_gradient(self, rng, kernel, stride, grad_dtype):
+        # Inputs 0.05 apart: the finite-difference step (0.01 in float32)
+        # cannot change which element is a window's maximum, which it
+        # does on nearly tied normal samples.  The loss is linear in the
+        # output so float32 rounding of its value stays below tolerance.
+        images = rng.permutation(2 * 3 * 7 * 7).reshape(2, 3, 7, 7) * 0.05
+        out_size = (7 - kernel) // stride + 1
+        probe = Tensor(rng.normal(size=(2, 3, out_size, out_size)))
+        check_gradient(
+            lambda t: (max_pool2d(t, kernel, stride) * probe).sum(), images, dtype=grad_dtype
+        )
+
+    @pytest.mark.parametrize("kernel,stride", OVERLAPPING_POOLS)
+    def test_overlapping_avg_pool_gradient(self, rng, kernel, stride, grad_dtype):
+        images = rng.normal(size=(2, 3, 7, 7))
+        check_gradient(
+            lambda t: (avg_pool2d(t, kernel, stride) ** 2).sum(), images, dtype=grad_dtype
+        )
+
     def test_adaptive_avg_pool_global(self, rng):
         images = rng.normal(size=(2, 3, 5, 5))
         out = adaptive_avg_pool2d(Tensor(images), 1)
@@ -285,13 +313,6 @@ class TestPooling:
 
 
 class TestPaddingAndUpsample:
-    def test_pad2d_forward_and_gradient(self, rng, grad_dtype):
-        images = rng.normal(size=(1, 2, 3, 3))
-        out = pad2d(Tensor(images), 2)
-        assert out.shape == (1, 2, 7, 7)
-        np.testing.assert_allclose(out.data[:, :, 2:5, 2:5], images)
-        check_gradient(lambda t: (pad2d(t, 1) ** 2).sum(), images, dtype=grad_dtype)
-
     def test_upsample_forward(self):
         images = np.arange(4, dtype=np.float64).reshape(1, 1, 2, 2)
         out = conv2d_transpose_upsample(Tensor(images), scale=2)
