@@ -32,9 +32,10 @@ def test_sweep_runner_speedup(scale, context):
     # an identically warm ticket cache; the measurement then isolates
     # the downstream transfers, which is the work the runner fans out.
     for model_name in scale.models:
-        context.pipeline(model_name).sweep_omp_tickets(
-            [(prior, sparsity) for prior in ("robust", "natural") for sparsity in sparsities]
-        )
+        pipeline = context.pipeline(model_name)
+        for prior in ("robust", "natural"):
+            for sparsity in sparsities:
+                pipeline.draw_omp_ticket(prior, sparsity)
 
     start = time.perf_counter()
     serial = fig1_omp_finetune.run(scale, context=context, tasks=TASKS, sparsities=sparsities)

@@ -16,7 +16,7 @@ scheme of step 1, which is exactly the comparison the paper makes.
 """
 
 from repro.core.cache import SweepCache, default_cache_root
-from repro.core.parallel import SweepRunner, run_sweep, default_workers
+from repro.core.parallel import SweepRunner, default_workers
 from repro.core.tickets import Ticket
 from repro.core.transfer import (
     TransferResult,
@@ -31,7 +31,6 @@ __all__ = [
     "SweepCache",
     "default_cache_root",
     "SweepRunner",
-    "run_sweep",
     "default_workers",
     "Ticket",
     "TransferResult",

@@ -90,21 +90,16 @@ def default_workers() -> int:
         return 1
 
 
-def effective_workers(
-    workers: int, requires_fork: bool = False, has_disk_cache: bool = False
-) -> int:
+def effective_workers(workers: int, has_disk_cache: bool = False) -> int:
     """Clamp a requested worker count to what the platform can honour.
 
     Fan-out relies on workers either inheriting the parent's prepared
     state (fork platforms) or rebuilding it cheaply from the disk sweep
-    cache.  On platforms without fork, ``requires_fork=True`` (state
-    that cannot be reconstructed in a worker at all, e.g. a
-    caller-supplied task) or ``has_disk_cache=False`` (every worker
-    would redo the expensive preparation from scratch) each make serial
-    execution strictly better, so the count clamps to 1.  This is the
-    single fan-out policy — sweep call sites must not reimplement it.
+    cache.  On platforms without fork and without a disk cache, every
+    worker would redo the expensive preparation from scratch, so serial
+    execution is strictly better and the count clamps to 1.
     """
-    if workers > 1 and _fork_context() is None and (requires_fork or not has_disk_cache):
+    if workers > 1 and _fork_context() is None and not has_disk_cache:
         return 1
     return workers
 
@@ -212,10 +207,3 @@ class SweepRunner:
             )
             _M_FALLBACKS.inc()
             return [fn(point) for point in points]
-
-
-def run_sweep(
-    fn: Callable[[Point], Result], points: Sequence[Point], workers: Optional[int] = None
-) -> List[Result]:
-    """Convenience wrapper: ``SweepRunner(workers).map(fn, points)``."""
-    return SweepRunner(workers).map(fn, points)

@@ -12,13 +12,11 @@ exactly once.
 
 from __future__ import annotations
 
-import uuid
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.attacks.pgd import PGDConfig
 from repro.core.cache import CACHE_FORMAT_VERSION, SweepCache, config_hash
-from repro.core.parallel import SweepRunner, effective_workers
 from repro.core.tickets import Ticket
 from repro.core.transfer import (
     TransferResult,
@@ -36,40 +34,6 @@ from repro.tensor import default_dtype
 from repro.training.evaluation import evaluate_accuracy
 from repro.training.pretrain import PretrainResult, pretrain_backbone
 from repro.training.trainer import TrainerConfig
-
-#: Pipelines currently running a sweep, keyed by a per-sweep token.
-#: Forked workers inherit this registry, so a point function resolves
-#: the parent's fully-prewarmed pipeline without the executor ever
-#: pickling the pretrained weights (the pickled payload per point is
-#: just the token, the config, and the granularity string).
-_ACTIVE_SWEEPS: Dict[str, "RobustTicketPipeline"] = {}
-
-
-class _OmpSweepPoint:
-    """Picklable point function drawing one OMP ticket of an active sweep.
-
-    On fork platforms the prewarmed pipeline is found in
-    :data:`_ACTIVE_SWEEPS` (inherited memory).  On spawn platforms the
-    registry is empty in the worker and the pipeline is rebuilt from
-    its config — cheap when the disk sweep cache is enabled, and the
-    rebuilt source task is regenerated deterministically from the
-    config seed (pipelines constructed with a custom ``source=``
-    should sweep serially on such platforms).
-    """
-
-    def __init__(self, token: str, config: "PipelineConfig", granularity: str) -> None:
-        self.token = token
-        self.config = config
-        self.granularity = granularity
-
-    def __call__(self, point) -> "Ticket":
-        pipeline = _ACTIVE_SWEEPS.get(self.token)
-        if pipeline is None:
-            pipeline = RobustTicketPipeline(self.config)
-            _ACTIVE_SWEEPS[self.token] = pipeline
-        prior, sparsity = point
-        return pipeline.draw_omp_ticket(prior, sparsity, granularity=self.granularity)
-
 
 #: Mapping from ticket prior names to pretraining schemes.
 _PRIOR_TO_SCHEME = {
@@ -137,10 +101,6 @@ class RobustTicketPipeline:
 
     def __init__(self, config: Optional[PipelineConfig] = None, source: Optional[TaskSpec] = None) -> None:
         self.config = config if config is not None else PipelineConfig()
-        #: Whether the source task was supplied by the caller rather than
-        #: derived from the config; such a task cannot be reconstructed
-        #: from the config alone in a spawn-based worker process.
-        self._custom_source = source is not None
         self.source = source if source is not None else source_task(
             num_classes=self.config.source_classes,
             train_size=self.config.source_train_size,
@@ -333,56 +293,6 @@ class RobustTicketPipeline:
         if self.cache:
             self.cache.store_ticket(key, ticket)
         return ticket
-
-    # ------------------------------------------------------------------
-    # Stage 2b: sweeping many tickets at once
-    # ------------------------------------------------------------------
-    def sweep_omp_tickets(
-        self,
-        points: Sequence[Tuple[str, float]],
-        granularity: str = "unstructured",
-        workers: int = 1,
-    ) -> List[Ticket]:
-        """Draw OMP tickets for every ``(prior, sparsity)`` point of a grid.
-
-        With ``workers > 1`` the independent points fan out across
-        worker processes via :class:`~repro.core.parallel.SweepRunner`.
-        The dense models every point depends on are pretrained (or
-        cache-loaded) **once, serially, up front** so that no two
-        workers race to produce the same backbone; on fork platforms
-        workers inherit them in memory, and when ``config.cache_dir``
-        is set they are additionally shared through the disk cache.
-        Results are returned in point order and identical to the
-        serial execution.
-        """
-        points = list(points)
-        for prior in dict.fromkeys(prior for prior, _ in points):
-            self.pretrain(prior)
-        # Spawn-based workers rebuild the pipeline from its config: a
-        # caller-supplied source task cannot be reconstructed there, and
-        # without a disk cache each worker would re-pretrain every
-        # backbone from scratch.
-        workers = effective_workers(
-            workers, requires_fork=self._custom_source, has_disk_cache=bool(self.cache)
-        )
-        token = uuid.uuid4().hex
-        _ACTIVE_SWEEPS[token] = self
-        try:
-            tickets = SweepRunner(workers).map(
-                _OmpSweepPoint(token, self.config, granularity),
-                [(prior, float(sparsity)) for prior, sparsity in points],
-            )
-        finally:
-            _ACTIVE_SWEEPS.pop(token, None)
-        # Tickets unpickled from workers each carry their own copy of the
-        # pretrained weights; re-point them at the parent's shared state
-        # dict so N sweep points cost one backbone of memory, exactly
-        # like the serial path.
-        for ticket in tickets:
-            pretrained = self._pretrained.get(ticket.prior)
-            if pretrained is not None:
-                ticket.backbone_state = pretrained.backbone_state
-        return tickets
 
     # ------------------------------------------------------------------
     # Stage 3: transfer

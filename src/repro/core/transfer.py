@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.core.tickets import Ticket
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.data.segmentation import SegmentationTask
@@ -27,7 +25,7 @@ from repro.models.heads import ClassifierHead, SegmentationModel
 from repro.nn import Linear, Module
 from repro.optim import SGD
 from repro.tensor import Tensor, cross_entropy, no_grad
-from repro.training.evaluation import evaluate_accuracy
+from repro.training.evaluation import evaluate_accuracy, predict_logits
 from repro.training.trainer import Trainer, TrainerConfig
 from repro.utils.seeding import seeded_rng
 
@@ -88,18 +86,8 @@ def linear_evaluation(
     mathematically identical to finetuning only the final layer.
     """
     backbone = ticket.materialise(seed=seed)
-    backbone.eval()
-
-    def extract_features(dataset: ArrayDataset) -> np.ndarray:
-        outputs = []
-        with no_grad():
-            for start in range(0, len(dataset), batch_size):
-                batch = dataset.images[start : start + batch_size]
-                outputs.append(backbone(Tensor(batch)).data)
-        return np.concatenate(outputs, axis=0)
-
-    train_features = extract_features(task.train)
-    test_features = extract_features(task.test)
+    train_features = predict_logits(backbone, task.train.images, batch_size, fused=False)
+    test_features = predict_logits(backbone, task.test.images, batch_size, fused=False)
 
     rng = seeded_rng(seed + 1)
     probe = Linear(backbone.out_features, task.num_classes, rng=rng)
@@ -144,14 +132,8 @@ def finetune_segmentation(
     trainer = Trainer(model, config=config, mask=mask)
     trainer.fit(task.train)
 
-    model.eval()
-    predictions = []
-    with no_grad():
-        for start in range(0, len(task.test), config.batch_size):
-            batch = task.test.images[start : start + config.batch_size]
-            logits = model(Tensor(batch)).data
-            predictions.append(logits.argmax(axis=1))
-    predictions = np.concatenate(predictions, axis=0)
+    logits = predict_logits(model, task.test.images, config.batch_size, fused=False)
+    predictions = logits.argmax(axis=1)
     score = mean_iou(predictions, task.test.labels, task.num_classes)
     return TransferResult(
         ticket_name=ticket.name,

@@ -19,8 +19,8 @@ from scipy import linalg
 
 from repro.data.dataset import ArrayDataset
 from repro.models.resnet import resnet18
-from repro.tensor import Tensor, no_grad
 from repro.tensor.dtypes import ACCUMULATION_DTYPE
+from repro.training.evaluation import predict_logits
 
 
 class RandomFeatureEmbedder:
@@ -36,12 +36,7 @@ class RandomFeatureEmbedder:
 
     def embed(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Pooled convolutional features for NCHW images."""
-        features = []
-        with no_grad():
-            for start in range(0, len(images), batch_size):
-                batch = images[start : start + batch_size]
-                features.append(self._backbone(Tensor(batch)).data)
-        return np.concatenate(features, axis=0) if features else np.empty((0, self.feature_dim))
+        return predict_logits(self._backbone, images, batch_size, fused=False)
 
 
 def frechet_distance(

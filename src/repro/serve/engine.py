@@ -8,9 +8,9 @@ through the fused evaluation graph on the single scheduler thread.
 
 The forward path **is** :func:`repro.training.evaluation.predict_logits`
 (called with ``fused=False`` — the sealed graph is already folded):
-the coalesced batch is chunked at ``eval_batch_size`` (the same
-default, 64), each chunk runs under ``no_grad``, and a zero-row batch
-still produces logits with the full class dimension.  It runs inside a
+the coalesced batch is chunked at ``predict_logits``'s default chunk
+size, each chunk runs under ``no_grad``, and a zero-row batch still
+produces logits with the full class dimension.  It runs inside a
 **thread-local** dtype scope pinned to the artifact's compute
 precision, so a single-request prediction is **byte-identical** to
 ``predict_logits`` on the source model in the exporting process —
@@ -21,6 +21,7 @@ without interfering.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
@@ -68,8 +69,6 @@ class EngineConfig:
     #: Longest the first request of a window waits for the other
     #: callers in flight; a lone request does not wait.
     max_wait_ms: float = 2.0
-    #: Chunk size of the forward pass (matches ``predict_logits``).
-    eval_batch_size: int = 64
     #: Requests that may queue ahead of the scheduler before new
     #: submissions are rejected with
     #: :class:`~repro.serve.batching.QueueFullError` (0: unbounded).
@@ -200,20 +199,14 @@ class ServingEngine:
         # thread-local and this method only ever runs on this engine's
         # scheduler thread: the whole forward stays in the sealed
         # precision without perturbing other threads, so engines sealed
-        # under different dtypes serve concurrently.
+        # under different dtypes serve concurrently.  ``sanitize`` opts
+        # in for this engine's forwards only; without the flag the
+        # ambient setting (REPRO_SANITIZE) still applies — the engine
+        # never vetoes a global sanitize.
+        sanitizing = sanitize_scope() if self.config.sanitize else contextlib.nullcontext()
         try:
-            with self._m_forward.time(), default_dtype_scope(self._dtype):
-                if self.config.sanitize:
-                    # Opt in for this engine's forwards only.  Without the
-                    # flag the ambient setting (REPRO_SANITIZE) still
-                    # applies — the engine never vetoes a global sanitize.
-                    with sanitize_scope():
-                        return predict_logits(
-                            self.model, batch, batch_size=self.config.eval_batch_size, fused=False
-                        )
-                return predict_logits(
-                    self.model, batch, batch_size=self.config.eval_batch_size, fused=False
-                )
+            with self._m_forward.time(), default_dtype_scope(self._dtype), sanitizing:
+                return predict_logits(self.model, batch, fused=False)
         except SanitizeError:
             self._m_sanitize_faults.inc()
             raise

@@ -112,6 +112,9 @@ _M_RATE_LIMITED = _REGISTRY.counter(
     labels=("model",),
 )
 
+#: A ``Content-Length`` value the frontend reads a body by.
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
+
 #: Admin routes: ``POST /models/{name}/load|evict|ratelimit``.
 _ADMIN_ROUTE = re.compile(r"^/models/([^/]+)/(load|evict|ratelimit)$")
 
@@ -367,12 +370,12 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         # Drain the body before routing: leaving unread bytes on a
         # keep-alive connection would desynchronise the next request.
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = self.rfile.read(length)
-        except (ValueError, OSError):
+        body = self._read_body()
+        if body is None:
             self._route = "other"
-            self._send_error(ServingError("unreadable request body", code="bad-request"))
+            self._send_error(
+                ServingError("unreadable request body", code="bad-request"), close=True
+            )
             return
         path = urlsplit(self.path).path
         admin = _ADMIN_ROUTE.match(path)
@@ -495,6 +498,24 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
+    def _read_body(self) -> Optional[bytes]:
+        """The whole request body, or ``None`` when it cannot be read in full.
+
+        Only a ``Content-Length`` of a non-negative integer delimits a
+        body (absent means empty).  A chunked or otherwise encoded body
+        and a malformed length are never read, so the caller answers
+        and closes the connection rather than parse the leftover bytes
+        as the next request, or block on ``read(-1)`` until the peer
+        hangs up.
+        """
+        length = self.headers.get("Content-Length", "0").strip()
+        if "Transfer-Encoding" in self.headers or not _CONTENT_LENGTH.fullmatch(length):
+            return None
+        try:
+            return self.rfile.read(int(length))
+        except OSError:
+            return None
+
     def _send_metrics(self) -> None:
         """``GET /metrics``: JSON by default, Prometheus text on request."""
         try:
@@ -512,11 +533,13 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_json(200, snapshot)
 
-    def _send_error(self, error: ServingError) -> None:
-        """Answer ``error`` with its status from :data:`_STATUS`."""
-        headers = None
+    def _send_error(self, error: ServingError, close: bool = False) -> None:
+        """Answer ``error`` with its status from :data:`_STATUS`; ``close`` ends the connection."""
+        headers = {}
         if error.retry_after is not None:
-            headers = {"Retry-After": _retry_after_header(error.retry_after)}
+            headers["Retry-After"] = _retry_after_header(error.retry_after)
+        if close:
+            headers["Connection"] = "close"
         self._send_json(
             _STATUS.get(error.code, 500),
             {"error": str(error), "retryable": error.retryable},
@@ -541,13 +564,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        for key, value in (headers or {}).items():
-            self.send_header(key, value)
+        headers = dict(headers or {})
         if self.server.draining:
             # A draining server finishes the requests it accepted but
             # ends every connection after its current response.
-            self.send_header("Connection", "close")
-            self.close_connection = True
+            headers["Connection"] = "close"
+        # ``send_header`` sets ``close_connection`` on ``Connection: close``.
+        for key, value in headers.items():
+            self.send_header(key, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -661,13 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         "request does not wait (default: 2.0)",
     )
     parser.add_argument(
-        "--eval-batch-size",
-        type=int,
-        default=64,
-        metavar="N",
-        help="forward-pass chunk size, mirroring predict_logits (default: 64)",
-    )
-    parser.add_argument(
         "--rate-limit",
         action="append",
         default=[],
@@ -701,7 +718,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = EngineConfig(
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
-        eval_batch_size=args.eval_batch_size,
         max_queue=args.max_queue,
     )
 

@@ -17,7 +17,14 @@ from repro.tensor import Tensor, no_grad
 def predict_logits(
     model: Module, images: np.ndarray, batch_size: int = 64, fused: bool = True
 ) -> np.ndarray:
-    """Run the model in evaluation mode and return logits for ``images``.
+    """Run the model in evaluation mode and return its outputs for ``images``.
+
+    This is the one batched evaluation forward: accuracy, linear-probe
+    features, segmentation maps, FID embeddings, adversarial scoring and
+    the serving engine all run their models over inputs through it, so
+    a change to the eval path (or a hook into it) lands in one place.
+    The outputs are whatever the model returns, class logits or pooled
+    features, computed ``batch_size`` rows at a time under ``no_grad``.
 
     When ``fused`` is true (the default) and the model contains foldable
     Conv+BN pairs, the batches run through an inference-only fused copy
@@ -73,8 +80,7 @@ def evaluate_adversarial_accuracy(
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
     for images, labels in loader:
         adversarial = pgd_attack(model, images, labels, attack, rng=rng)
-        with no_grad():
-            logits = model(Tensor(adversarial)).data
+        logits = predict_logits(model, adversarial, batch_size, fused=False)
         correct += int((logits.argmax(axis=1) == labels).sum())
         total += len(labels)
     return correct / total if total else float("nan")

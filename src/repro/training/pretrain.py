@@ -27,6 +27,7 @@ from repro.models.heads import ClassifierHead
 from repro.models.registry import build_model
 from repro.models.resnet import ResNet
 from repro.training.adversarial import AdversarialTrainer
+from repro.training.evaluation import evaluate_accuracy
 from repro.training.smoothing import GaussianAugmentTrainer
 from repro.training.trainer import Trainer, TrainerConfig
 
@@ -80,7 +81,7 @@ def pretrain_backbone(
         trainer = GaussianAugmentTrainer(model, config=trainer_config, sigma=smoothing_sigma)
 
     trainer.fit(source.train)
-    accuracy = trainer.evaluate(source.test)
+    accuracy = evaluate_accuracy(model, source.test)
 
     return PretrainResult(
         scheme=scheme,

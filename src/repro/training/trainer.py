@@ -8,12 +8,11 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.data.dataset import ArrayDataset, DataLoader
-from repro.nn.fuse import maybe_fuse
 from repro.nn.module import Module, Parameter
 from repro.optim import SGD, MultiStepLR
 from repro.optim.optimizer import Optimizer
 from repro.optim.schedules import LRSchedule
-from repro.tensor import Tensor, cross_entropy, no_grad
+from repro.tensor import Tensor, cross_entropy
 from repro.utils.logging import MetricLogger
 from repro.utils.seeding import seeded_rng
 
@@ -142,27 +141,3 @@ class Trainer:
                 self.mask.apply(self.model)
             losses.append(loss.item())
         return float(np.mean(losses)) if losses else float("nan")
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def evaluate(self, dataset: ArrayDataset, batch_size: int = 64) -> float:
-        """Top-1 accuracy of the model on ``dataset``.
-
-        Evaluation batches run through an inference-only Conv+BN-fused
-        copy of the model when folding applies (see
-        :mod:`repro.nn.fuse`); the trained model itself is untouched.
-        """
-        self.model.eval()
-        inference_model = maybe_fuse(self.model)
-        loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
-        correct = 0
-        total = 0
-        with no_grad():
-            for images, labels in loader:
-                logits = inference_model(Tensor(images)).data
-                predictions = logits.argmax(axis=1)
-                # Works for both (N,) class labels and (N, H, W) dense labels.
-                correct += int((predictions == labels).sum())
-                total += int(labels.size)
-        return correct / total if total else float("nan")

@@ -6,12 +6,9 @@ import functools
 import os
 import uuid
 
-import numpy as np
 import pytest
 
-from repro.core.cache import SweepCache
-from repro.core.parallel import SweepRunner, default_workers, run_sweep
-from repro.core.pipeline import PipelineConfig, RobustTicketPipeline
+from repro.core.parallel import SweepRunner, default_workers
 
 
 def _square(value):
@@ -38,19 +35,6 @@ def _record_call_first(directory, value):
 
 def _explode(value):
     raise RuntimeError(f"boom on {value}")
-
-
-def _tiny_pipeline(cache_dir=None) -> RobustTicketPipeline:
-    config = PipelineConfig(
-        base_width=4,
-        source_classes=4,
-        source_train_size=32,
-        source_test_size=16,
-        pretrain_epochs=1,
-        attack_steps=1,
-        cache_dir=cache_dir,
-    )
-    return RobustTicketPipeline(config)
 
 
 class TestSweepRunner:
@@ -100,9 +84,6 @@ class TestSweepRunner:
         with pytest.raises(RuntimeError, match="boom"):
             SweepRunner(workers=1).map(_explode, [1])
 
-    def test_run_sweep_wrapper(self):
-        assert run_sweep(_square, [2, 3], workers=1) == [4, 9]
-
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
         assert default_workers() == 1
@@ -110,48 +91,3 @@ class TestSweepRunner:
         assert default_workers() == 3
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "not-a-number")
         assert default_workers() == 1
-
-
-class TestPipelineSweep:
-    def test_sweep_matches_serial_and_orders_points(self):
-        pipeline = _tiny_pipeline()
-        points = [("robust", 0.5), ("natural", 0.5), ("robust", 0.8)]
-        serial = pipeline.sweep_omp_tickets(points, workers=1)
-        parallel = pipeline.sweep_omp_tickets(points, workers=2)
-        assert [t.prior for t in serial] == ["adversarial", "natural", "adversarial"]
-        for ticket_a, ticket_b in zip(serial, parallel):
-            assert ticket_a.prior == ticket_b.prior
-            assert ticket_a.sparsity == ticket_b.sparsity
-            for name in ticket_a.mask.names():
-                np.testing.assert_array_equal(ticket_a.mask[name], ticket_b.mask[name])
-
-    def test_workers_share_the_disk_cache(self, tmp_path):
-        cache_dir = str(tmp_path / "sweeps")
-        pipeline = _tiny_pipeline(cache_dir=cache_dir)
-        points = [("robust", 0.5), ("robust", 0.8)]
-        tickets = pipeline.sweep_omp_tickets(points, workers=2)
-        # Pretraining was prewarmed once and every worker-drawn ticket
-        # landed in the shared cache.
-        entries = os.listdir(cache_dir)
-        assert sum(name.startswith("pretrain-") for name in entries) == 1
-        assert sum(name.startswith("ticket-") for name in entries) == len(points)
-        # A fresh pipeline (fresh process in real sweeps) hits the cache:
-        # drawing the same tickets must not require re-pretraining.
-        rebuilt = _tiny_pipeline(cache_dir=cache_dir)
-        cached = rebuilt.draw_omp_ticket("robust", 0.5)
-        assert rebuilt._pretrained == {}  # served entirely from disk
-        for name in tickets[0].mask.names():
-            np.testing.assert_array_equal(cached.mask[name], tickets[0].mask[name])
-
-    def test_cache_roundtrip_is_bitwise(self, tmp_path):
-        cache_dir = str(tmp_path / "sweeps")
-        pipeline = _tiny_pipeline(cache_dir=cache_dir)
-        [ticket] = pipeline.sweep_omp_tickets([("natural", 0.6)], workers=1)
-        cache = SweepCache(cache_dir)
-        key = pipeline._ticket_key(
-            "natural", ticket_scheme="omp", sparsity=0.6, granularity="unstructured"
-        )
-        loaded = cache.load_ticket(key)
-        assert loaded is not None
-        for name in ticket.mask.names():
-            np.testing.assert_array_equal(loaded.mask[name], ticket.mask[name])

@@ -96,6 +96,16 @@ def images():
     return seeded_rng(11).uniform(0.0, 1.0, size=(7, 3, 16, 16))
 
 
+@pytest.fixture
+def chunked_images():
+    """More rows than ``predict_logits``'s 64-row chunk: the forward runs in two.
+
+    The odd tail makes the chunk size show in the bytes: at 101 rows,
+    chunks of 16, 32, 63, 65, 100 or 128 rows each give other logits.
+    """
+    return seeded_rng(12).uniform(0.0, 1.0, size=(101, 3, 16, 16))
+
+
 class TestModelArtifact:
     def test_round_trip_header_and_masks(self, sealed):
         path, ticket = sealed
@@ -420,12 +430,15 @@ class TestServingEngine:
         with ServingEngine(sealed[0], EngineConfig(max_wait_ms=0.5)) as engine:
             yield engine
 
-    def test_single_request_byte_identical_to_predict_logits(self, sealed, engine, images):
-        _, ticket = sealed
-        expected = predict_logits(reference_model(ticket), images)
-        got = engine.predict(images)
-        assert got.dtype == expected.dtype
-        np.testing.assert_array_equal(got, expected)
+    def test_single_request_byte_identical_to_predict_logits(
+        self, sealed, engine, images, chunked_images
+    ):
+        model = reference_model(sealed[1])
+        for inputs in (images, chunked_images):
+            expected = predict_logits(model, inputs)
+            got = engine.predict(inputs)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
 
     def test_empty_input_keeps_class_dimension(self, engine):
         assert engine.predict(np.zeros((0, 3, 16, 16))).shape == (0, 5)
@@ -661,15 +674,16 @@ class TestServeHTTP:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("encoding", ["json", "binary"])
     def test_predict_round_trip_byte_identical(
-        self, sealed, server, client, images, encoding, dtype
+        self, sealed, server, client, images, chunked_images, encoding, dtype
     ):
-        _, ticket = sealed
-        inputs = images.astype(dtype)
-        expected = predict_logits(reference_model(ticket), inputs)
-        served = self.predict_as(encoding, server, client, inputs)
-        assert served.dtype == expected.dtype
-        np.testing.assert_array_equal(served, expected)
-        assert served.flags.writeable
+        model = reference_model(sealed[1])
+        for rows in (images, chunked_images):
+            inputs = rows.astype(dtype)
+            expected = predict_logits(model, inputs)
+            served = self.predict_as(encoding, server, client, inputs)
+            assert served.dtype == expected.dtype
+            np.testing.assert_array_equal(served, expected)
+            assert served.flags.writeable
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("encoding", ["json", "binary"])
@@ -1223,6 +1237,49 @@ class _GatedBackend:
 
     def queue_depth(self) -> int:
         return 0
+
+
+class TestUnreadableBody:
+    """A ``POST`` body whose end the server cannot find is refused, not read."""
+
+    @pytest.mark.parametrize(
+        "framing, body",
+        [
+            pytest.param("Content-Length: -1", b'{"inputs": []}', id="negative-length"),
+            pytest.param("Content-Length: abc", b'{"inputs": []}', id="non-numeric-length"),
+            pytest.param(
+                "Transfer-Encoding: chunked", b'e\r\n{"inputs": []}\r\n0\r\n\r\n', id="chunked"
+            ),
+        ],
+    )
+    def test_answers_400_and_closes_the_connection(self, framing, body):
+        server = create_server(_GatedBackend(), "stub", port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        head = (
+            "POST /predict HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\n{framing}\r\n\r\n"
+        )
+        # A keep-alive client: the write side stays open after the request.
+        connection = socket.create_connection(server.server_address[:2], timeout=1.0)
+        try:
+            began = time.monotonic()
+            connection.sendall(head.encode("ascii") + body)
+            response = http.client.HTTPResponse(connection)
+            response.begin()
+            reply = json.loads(response.read())
+            assert time.monotonic() - began < 1.0
+            assert response.status == 400 and reply["retryable"] is False
+            assert response.getheader("Connection") == "close"
+            try:
+                assert connection.recv(1) == b""  # the server closed its end
+            except ConnectionResetError:
+                pass  # closed with the unread body still queued
+            began = time.monotonic()
+            assert server.drain(timeout=5.0)
+            assert time.monotonic() - began < 1.0
+        finally:
+            connection.close()
+            server.server_close()
 
 
 class TestGracefulShutdown:
