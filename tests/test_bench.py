@@ -1,6 +1,7 @@
 """Tests for repro.bench: registry, harness, baselines, comparator, CLI."""
 
 import dataclasses
+import itertools
 import json
 import time
 
@@ -30,7 +31,9 @@ from repro.bench import (
     suite_benchmarks,
     write_artifact,
 )
+from repro.bench import specs as bench_specs
 from repro.bench.cli import main as bench_main
+from repro.tensor import sparse as tensor_sparse
 
 #: A deterministic fake machine speed: one unit == one millisecond.
 UNIT = Calibration(unit_s=1e-3, spin_s=1e-3, blas_s=1e-3)
@@ -180,12 +183,108 @@ def test_bounds_compare_exactly_at_the_threshold():
         ("serve.metrics_overhead", ("overhead_pct", "<", 2.0)),
         ("serve.fleet_resilience", ("latency_p99_ms", "<=", 15_000.0)),
         ("engine.float32_speedup", ("speedup", ">=", 1.5)),
+        ("sparse.csr_matmul", ("threshold_losses", "<=", 0)),
     ],
 )
 def test_host_timing_contracts_keep_their_bounds(name, bound):
-    # Each was an in-payload (or in-test) assertion with this metric,
-    # comparison and threshold; loosening one must fail here.
+    # Each was an in-payload (or in-test) assertion, now a bound with
+    # this metric, comparison and threshold; loosening one must fail here.
     assert get_bench(name).bounds == (bound,)
+
+
+# ----------------------------------------------------------------------
+# sparse.csr_matmul: the dispatch threshold's contract as a bound
+# ----------------------------------------------------------------------
+CSR_SPEC = "sparse.csr_matmul"
+
+
+@pytest.fixture
+def csr_grid(monkeypatch):
+    """Make ``sparse.csr_matmul`` read the given dense/CSR ratios.
+
+    The payload times dense, then CSR, at each grid point in order; the
+    stubbed ``best_wall`` answers with the ratio, then 1.0, so no GEMM
+    runs and every call reads the same grid.  The backend reads as
+    scipy, the one the contract covers.
+    """
+    monkeypatch.setattr(tensor_sparse, "sparse_backend", lambda: "scipy")
+
+    def stub(speedups):
+        walls = itertools.cycle([wall for ratio in speedups for wall in (ratio, 1.0)])
+        monkeypatch.setattr(bench_specs, "best_wall", lambda work, repeats: next(walls))
+
+    return stub
+
+
+def _csr_contract(state=None):
+    """One payload call's metrics and the bounds they break."""
+    spec = get_bench(CSR_SPEC)
+    metrics = spec.payload(state if state is not None else spec.setup())
+    return metrics, spec.violations(metrics)
+
+
+def test_csr_loss_above_the_threshold_breaks_the_bound(csr_grid):
+    # A 2-core host's grid: CSR wins only at 0.98, so the 0.95 point
+    # that the 0.92 threshold dispatches loses.  Every call is checked,
+    # and each ratio stays in the result unrounded.
+    csr_grid([0.0613, 0.3187, 0.5237, 1.4249])
+    result = measure(get_bench(CSR_SPEC), UNIT)
+    assert result.violations == [
+        f"call {call} of 4: threshold_losses = 1 breaks threshold_losses <= 0"
+        for call in (1, 2, 3, 4)
+    ]
+    assert result.metrics == {
+        "crossover": 0.98,
+        "threshold_losses": 1,
+        "dispatch_threshold": tensor_sparse.DEFAULT_THRESHOLD,
+        "speedup_at_50": 0.0613,
+        "speedup_at_90": 0.3187,
+        "speedup_at_95": 0.5237,
+        "speedup_at_98": 1.4249,
+        "backend": "scipy",
+    }
+
+
+@pytest.mark.parametrize("threshold, losses", [(0.92, 2), (0.99, 1)])
+def test_csr_winning_nowhere_breaks_the_bound(csr_grid, monkeypatch, threshold, losses):
+    # Also with a threshold above the grid's top, which admits no point.
+    monkeypatch.setattr(tensor_sparse, "DEFAULT_THRESHOLD", threshold)
+    csr_grid([0.04, 0.27, 0.46, 0.86])
+    metrics, violations = _csr_contract()
+    assert metrics["crossover"] == -1.0
+    assert metrics["threshold_losses"] == losses
+    assert violations == [f"threshold_losses = {losses} breaks threshold_losses <= 0"]
+
+
+def test_csr_winning_from_the_threshold_up_keeps_the_bound(csr_grid):
+    csr_grid([0.2, 0.8, 1.01, 3.5])
+    metrics, violations = _csr_contract()
+    assert (metrics["crossover"], metrics["threshold_losses"], violations) == (0.95, 0, [])
+
+
+def test_csr_numpy_backend_is_exempt(csr_grid, monkeypatch):
+    # Without scipy, ``auto`` never dispatches, so no threshold can lose.
+    monkeypatch.setattr(tensor_sparse, "sparse_backend", lambda: "numpy")
+    csr_grid([0.04, 0.27, 0.46, 0.86])
+    metrics, violations = _csr_contract()
+    assert (metrics["backend"], metrics["threshold_losses"], violations) == ("numpy", 0, [])
+
+
+def test_csr_bound_breaks_exactly_where_the_old_payload_raised(csr_grid, monkeypatch):
+    # The payload used to raise when CSR won nowhere on the grid, or lost
+    # (ratio <= 1.0) at a grid point at or above the threshold.
+    grid = bench_specs._CSR_GRID
+    state = get_bench(CSR_SPEC).setup()
+    for threshold in (0.5, 0.92, 0.98, 0.99):
+        monkeypatch.setattr(tensor_sparse, "DEFAULT_THRESHOLD", threshold)
+        for speedups in itertools.product((0.5, 1.0, 2.0), repeat=len(grid)):
+            csr_grid(speedups)
+            raised = all(ratio <= 1.0 for ratio in speedups) or any(
+                zero_fraction >= threshold and ratio <= 1.0
+                for zero_fraction, ratio in zip(grid, speedups)
+            )
+            _, violations = _csr_contract(state)
+            assert bool(violations) == raised, (threshold, speedups)
 
 
 def test_artifact_round_trip(tmp_path):
