@@ -8,12 +8,10 @@ tooling can diff runs without scraping human-oriented output.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List
 
-from repro.utils.checkpoint import staging_path
+from repro.utils.checkpoint import read_json, write_json
 
 __all__ = [
     "ANALYSIS_FORMAT",
@@ -67,26 +65,12 @@ def report_dict(findings: Iterable[Finding]) -> Dict[str, object]:
 
 def dump_report(findings: Iterable[Finding], path: str) -> str:
     """Write findings to ``path`` as atomic ``repro-analysis/v1`` JSON."""
-    temporary = staging_path(path)
-    try:
-        with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump(report_dict(findings), handle, indent=2, sort_keys=False)
-            handle.write("\n")
-        os.replace(temporary, path)
-    finally:
-        if os.path.exists(temporary):
-            os.remove(temporary)
-    return path
+    return write_json(path, report_dict(findings))
 
 
 def load_report(path: str) -> List[Finding]:
     """Load findings from a ``repro-analysis/v1`` JSON report."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if document.get("format") != ANALYSIS_FORMAT:
-        raise ValueError(
-            f"{path!r} has format {document.get('format')!r}, expected {ANALYSIS_FORMAT}"
-        )
+    document = read_json(path, ANALYSIS_FORMAT)
     if document.get("version") != ANALYSIS_VERSION:
         raise ValueError(
             f"{path!r} has report version {document.get('version')!r}, "

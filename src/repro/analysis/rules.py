@@ -306,76 +306,42 @@ class LockDisciplineRule(Rule):
 # atomic-write discipline
 # ----------------------------------------------------------------------
 class AtomicWriteRule(Rule):
-    """Writes under serve/core/utils/bench must stage through ``staging_path``.
+    """Files are written by :mod:`repro.utils.checkpoint` alone.
 
-    A direct ``open(path, "w")`` or ``np.save(path, ...)`` can be killed
-    mid-write and leave a truncated artifact for a reader (a server, a
-    resumed sweep) to trip over.  The blessed pattern writes to
-    :func:`repro.utils.checkpoint.staging_path` and ``os.replace``-s
-    into place.
+    A direct ``open(path, "w")``, ``np.save(path, ...)`` or
+    ``Path.write_text`` can be killed mid-write and leave a truncated
+    file for a reader (a server, a resumed sweep, a CI step) to trip
+    over.  The checkpoint writers stage to a unique name next to the
+    target and ``os.replace`` it into place; no other module opens a
+    file for writing.
     """
 
     id = "atomic-write"
-    summary = "non-atomic write in an artifact-owning package"
+    summary = "file write outside repro.utils.checkpoint"
 
-    SCOPES = ("repro/serve/", "repro/core/", "repro/utils/", "repro/bench/")
+    WRITER = "repro/utils/checkpoint.py"
     WRITE_MODES = set("wax")
     SAVE_CALLS = {"np.save", "np.savez", "np.savez_compressed", "numpy.save", "numpy.savez"}
+    PATH_WRITES = {"write_text", "write_bytes"}
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        if not context.module_path.startswith(self.SCOPES):
+        if context.module_path == self.WRITER:
             return
-        for scope in self._function_scopes(context.tree):
-            staged = self._staged_names(scope)
-            for node in ast.walk(scope):
-                call = self._write_call(node)
-                if call is None:
-                    continue
-                kind, path_arg = call
-                if path_arg is None or not self._is_staged(path_arg, staged):
-                    yield self.finding(
-                        context,
-                        node,
-                        f"{kind} writes directly to its destination; stage through "
-                        "repro.utils.checkpoint.staging_path and os.replace into place",
-                    )
+        for node in ast.walk(context.tree):
+            kind = self._write_call(node)
+            if kind is not None:
+                yield self.finding(
+                    context,
+                    node,
+                    f"{kind} writes a file directly; write through repro.utils.checkpoint "
+                    "(write_json, write_file, save_bundle, save_state_dict)",
+                )
 
-    @staticmethod
-    def _function_scopes(tree: ast.Module) -> List[ast.AST]:
-        scopes: List[ast.AST] = []
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(node)
-        return scopes or [tree]
-
-    @staticmethod
-    def _contains_staging_call(node: ast.AST) -> bool:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                chain = _attribute_chain(sub.func)
-                if chain is not None and chain.split(".")[-1] == "staging_path":
-                    return True
-        return False
-
-    def _staged_names(self, scope: ast.AST) -> Set[str]:
-        names: Set[str] = set()
-        for node in ast.walk(scope):
-            if isinstance(node, ast.Assign) and self._contains_staging_call(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return names
-
-    def _is_staged(self, path_arg: ast.AST, staged: Set[str]) -> bool:
-        if isinstance(path_arg, ast.Name) and path_arg.id in staged:
-            return True
-        return self._contains_staging_call(path_arg)
-
-    def _write_call(self, node: ast.AST) -> Optional[Tuple[str, Optional[ast.AST]]]:
+    def _write_call(self, node: ast.AST) -> Optional[str]:
         if not isinstance(node, ast.Call):
             return None
         chain = _attribute_chain(node.func)
-        if chain == "open" or (isinstance(node.func, ast.Name) and node.func.id == "open"):
+        if chain == "open":
             mode = None
             if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant):
                 mode = node.args[1].value
@@ -383,10 +349,12 @@ class AtomicWriteRule(Rule):
                 if keyword.arg == "mode" and isinstance(keyword.value, ast.Constant):
                     mode = keyword.value.value
             if isinstance(mode, str) and self.WRITE_MODES & set(mode):
-                return (f"open(..., {mode!r})", node.args[0] if node.args else None)
+                return f"open(..., {mode!r})"
             return None
         if chain in self.SAVE_CALLS:
-            return (chain, node.args[0] if node.args else None)
+            return chain
+        if isinstance(node.func, ast.Attribute) and node.func.attr in self.PATH_WRITES:
+            return f".{node.func.attr}()"
         return None
 
 

@@ -32,7 +32,6 @@ from repro.bench.harness import (
     load_artifact,
     measure,
     run_suite,
-    write_artifact,
 )
 from repro.bench.spec import (
     BENCHMARKS,
@@ -77,5 +76,4 @@ __all__ = [
     "render_verdicts",
     "run_suite",
     "suite_benchmarks",
-    "write_artifact",
 ]

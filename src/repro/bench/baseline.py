@@ -11,13 +11,12 @@ taken against a different calibration workload version.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, Optional
 
 from repro.bench.calibrate import Calibration
 from repro.bench.harness import BenchResult
-from repro.utils.checkpoint import staging_path
+from repro.utils.checkpoint import read_json, write_json
 
 #: Format tag stamped into (and required from) baseline files.
 BASELINE_FORMAT = "repro-bench-baseline/v1"
@@ -109,8 +108,7 @@ class BaselineStore:
         """
         path = self.path(spec)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            payload = read_json(path)
         except FileNotFoundError:
             return None
         except OSError as error:
@@ -121,11 +119,4 @@ class BaselineStore:
 
     def save(self, baseline: Baseline) -> str:
         """Write (or overwrite) one spec's baseline atomically."""
-        path = self.path(baseline.spec)
-        os.makedirs(self.root, exist_ok=True)
-        temporary = staging_path(path)
-        with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump(baseline.as_dict(), handle, indent=2)
-            handle.write("\n")
-        os.replace(temporary, path)
-        return path
+        return write_json(self.path(baseline.spec), baseline.as_dict())

@@ -33,9 +33,9 @@ from repro.bench.harness import (
     artifact_results,
     load_artifact,
     run_suite,
-    write_artifact,
 )
 from repro.bench.spec import SUITES, available_benchmarks, get_bench, suite_benchmarks
+from repro.utils.checkpoint import write_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +111,7 @@ def _cmd_run(args) -> int:
         suite=suite,
         progress=lambda name: print(f"  measuring {name} ...", flush=True),
     )
-    path = write_artifact(args.output, artifact)
+    path = write_json(args.output, artifact)
     unit_ms = artifact["calibration"]["unit_s"] * 1e3
     print(f"\ncalibration unit: {unit_ms:.3f}ms")
     for result in artifact_results(artifact):

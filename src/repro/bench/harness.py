@@ -9,17 +9,16 @@ startup :class:`~repro.bench.calibrate.Calibration`, which is what the
 baseline comparator gates on.
 
 A finished run serialises as a versioned ``repro-bench/v1`` JSON
-artifact (atomic write, like every other artifact in the repo) that CI
-uploads per push — the perf trajectory the ROADMAP asks for — and that
-:mod:`repro.bench.compare` consumes.
+artifact (written by :func:`repro.utils.checkpoint.write_json`, like
+every other artifact in the repo) that CI uploads per push — the perf
+trajectory the ROADMAP asks for — and that :mod:`repro.bench.compare`
+consumes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
-import os
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -28,7 +27,7 @@ import numpy as np
 from repro.bench.calibrate import Calibration, calibrate
 from repro.bench.spec import BenchSpec
 from repro.tensor.dtypes import ACCUMULATION_DTYPE
-from repro.utils.checkpoint import staging_path
+from repro.utils.checkpoint import read_json
 from repro.utils.timing import best_wall  # noqa: F401  (re-export: ad-hoc paired timings)
 
 #: Format tag stamped into (and required from) benchmark run artifacts.
@@ -185,25 +184,9 @@ def run_suite(
     }
 
 
-def write_artifact(path: str, artifact: Dict[str, Any]) -> str:
-    """Write a run artifact atomically (staging name + rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    temporary = staging_path(path)
-    with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
-    os.replace(temporary, path)
-    return path
-
-
 def load_artifact(path: str) -> Dict[str, Any]:
     """Re-hydrate (and validate) a ``repro-bench/v1`` run artifact."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
-        raise ValueError(f"{path!r} is not a {ARTIFACT_FORMAT} benchmark artifact")
-    return payload
+    return read_json(path, ARTIFACT_FORMAT)
 
 
 def artifact_results(artifact: Dict[str, Any]) -> List[BenchResult]:

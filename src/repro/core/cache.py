@@ -12,8 +12,9 @@ engine compute dtype), so each scheme is pretrained once per machine
 rather than once per process.
 
 Cache layout: ``<root>/<kind>-<hash>.npz``.  Entries are self-contained
-(arrays plus a JSON header) and written atomically via a temp file +
-rename, so a crashed run never leaves a half-written entry behind.
+(arrays plus a JSON header) written through
+:func:`repro.utils.checkpoint.save_bundle`, which stages and renames, so
+a crashed run never leaves a half-written entry behind.
 Invalidation is by key: any config change (or a bump of
 :data:`CACHE_FORMAT_VERSION`) produces a different hash and the stale
 files are simply never read again; deleting the cache directory is
@@ -29,14 +30,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Callable, Dict, Optional, TypeVar
 
 from repro.core.tickets import Ticket
 from repro.obs.registry import default_registry
 from repro.training.pretrain import PretrainResult
-from repro.utils.checkpoint import load_state_dict, save_state_dict, staging_path
+from repro.utils.checkpoint import load_bundle, members, save_bundle
+
+_T = TypeVar("_T")
 
 _REGISTRY = default_registry()
 _M_CACHE_HITS = _REGISTRY.counter(
@@ -69,11 +70,6 @@ def config_hash(payload: Dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-# ``staging_path`` is re-exported above: the implementation lives in
-# :mod:`repro.utils.checkpoint` so ``save_state_dict`` itself can stage
-# atomically without importing this (higher-level) module.
-
-
 class SweepCache:
     """Content-addressed on-disk store for pipeline artefacts."""
 
@@ -83,26 +79,16 @@ class SweepCache:
     def _path(self, kind: str, key: str) -> str:
         return os.path.join(self.root, f"{kind}-{key}.npz")
 
-    def _store(self, kind: str, key: str, payload: Dict[str, np.ndarray]) -> str:
-        # ``save_state_dict`` stages and renames internally (see
-        # :func:`repro.utils.checkpoint.staging_path`), so a store is
-        # atomic without any extra bookkeeping here.
-        return save_state_dict(payload, self._path(kind, key))
-
-    def _load(self, kind: str, key: str) -> Optional[Dict[str, np.ndarray]]:
-        path = self._path(kind, key)
-        if not os.path.exists(path):
-            _M_CACHE_MISSES.labelled(kind=kind).inc()
-            return None
+    def _load(self, kind: str, key: str, read: Callable[[str], Optional[_T]]) -> Optional[_T]:
         try:
-            payload = load_state_dict(path)
+            value = read(self._path(kind, key))
         except (OSError, ValueError, KeyError):
-            # A corrupt/truncated entry is treated as a miss; it will be
-            # overwritten by the fresh result.
-            _M_CACHE_MISSES.labelled(kind=kind).inc()
-            return None
-        _M_CACHE_HITS.labelled(kind=kind).inc()
-        return payload
+            # An absent, corrupt or truncated entry is a miss; the fresh
+            # result overwrites it.
+            value = None
+        counter = _M_CACHE_HITS if value is not None else _M_CACHE_MISSES
+        counter.labelled(kind=kind).inc()
+        return value
 
     # ------------------------------------------------------------------
     # Pretrained backbones
@@ -116,39 +102,13 @@ class SweepCache:
             "source_accuracy": result.source_accuracy,
             "config": result.config,
         }
-        payload: Dict[str, np.ndarray] = {
-            _HEADER_KEY: np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-        }
-        for name, value in result.backbone_state.items():
-            payload[f"backbone./{name}"] = value
-        for name, value in result.head_state.items():
-            payload[f"head./{name}"] = value
-        return self._store("pretrain", key, payload)
+        arrays = {f"backbone./{name}": value for name, value in result.backbone_state.items()}
+        arrays.update({f"head./{name}": value for name, value in result.head_state.items()})
+        return save_bundle(self._path("pretrain", key), arrays, header, _HEADER_KEY)
 
     def load_pretrain(self, key: str) -> Optional[PretrainResult]:
         """Fetch a cached :class:`PretrainResult`, or ``None`` on a miss."""
-        payload = self._load("pretrain", key)
-        if payload is None or _HEADER_KEY not in payload:
-            return None
-        header = json.loads(payload[_HEADER_KEY].tobytes().decode("utf-8"))
-        if header.get("version") != CACHE_FORMAT_VERSION:
-            return None
-        return PretrainResult(
-            scheme=header["scheme"],
-            model_name=header["model_name"],
-            backbone_state={
-                name[len("backbone./") :]: value
-                for name, value in payload.items()
-                if name.startswith("backbone./")
-            },
-            head_state={
-                name[len("head./") :]: value
-                for name, value in payload.items()
-                if name.startswith("head./")
-            },
-            source_accuracy=float(header["source_accuracy"]),
-            config=dict(header["config"]),
-        )
+        return self._load("pretrain", key, _read_pretrain)
 
     # ------------------------------------------------------------------
     # Drawn tickets
@@ -159,14 +119,19 @@ class SweepCache:
 
     def load_ticket(self, key: str) -> Optional[Ticket]:
         """Fetch a cached :class:`Ticket`, or ``None`` on a miss."""
-        path = self._path("ticket", key)
-        if not os.path.exists(path):
-            _M_CACHE_MISSES.labelled(kind="ticket").inc()
-            return None
-        try:
-            ticket = Ticket.load(path)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            _M_CACHE_MISSES.labelled(kind="ticket").inc()
-            return None
-        _M_CACHE_HITS.labelled(kind="ticket").inc()
-        return ticket
+        return self._load("ticket", key, Ticket.load)
+
+
+def _read_pretrain(path: str) -> Optional[PretrainResult]:
+    """The :class:`PretrainResult` in a pretrain entry; ``None`` for another version."""
+    header, arrays = load_bundle(path, _HEADER_KEY)
+    if header.get("version") != CACHE_FORMAT_VERSION:
+        return None
+    return PretrainResult(
+        scheme=header["scheme"],
+        model_name=header["model_name"],
+        backbone_state=members(arrays, "backbone./"),
+        head_state=members(arrays, "head./"),
+        source_accuracy=float(header["source_accuracy"]),
+        config=dict(header["config"]),
+    )

@@ -20,9 +20,9 @@ Layout
 :class:`~repro.experiments.config.ExperimentScale` plus the store format
 version), so any change to the scale invalidates nothing — it simply
 keys a different run directory.  The point files are self-contained and
-written atomically (per-writer staging name + rename, exactly like
-:class:`~repro.core.cache.SweepCache`), so a killed sweep never leaves
-a torn row behind; a corrupt file reads as a miss and is recomputed.
+written through :func:`repro.utils.checkpoint.write_json`, which stages
+and renames, so a killed sweep never leaves a torn row behind; a
+corrupt file reads as a miss and is recomputed.
 
 Finished runs additionally export as a single versioned JSON artifact
 (:func:`write_artifact` / :func:`load_artifact`) that round-trips
@@ -32,14 +32,14 @@ through :meth:`repro.experiments.results.ResultTable.from_records`.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cache import config_hash, staging_path
+from repro.core.cache import config_hash
 from repro.obs.registry import default_registry
+from repro.utils.checkpoint import read_json, write_json
 
 #: Bump to key every run into fresh directories after an incompatible change.
 RUN_STORE_VERSION = 1
@@ -146,16 +146,6 @@ class RunStore:
     def _point_path(self, key: RunKey, point: Tuple) -> str:
         return os.path.join(self.directory(key), f"point-{point_id(point)}.json")
 
-    def _write_json(self, path: str, payload: Dict[str, Any]) -> str:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        temporary = staging_path(path)
-        with open(temporary, "w", encoding="utf-8") as handle:
-            # Insertion order is part of the contract: a re-hydrated
-            # row must keep the experiment's column order.
-            json.dump(payload, handle)
-        os.replace(temporary, path)
-        return path
-
     # ------------------------------------------------------------------
     # Point checkpoints
     # ------------------------------------------------------------------
@@ -163,7 +153,7 @@ class RunStore:
         """Checkpoint one completed point's row; atomic, last writer wins."""
         payload = {"point": jsonify(list(point)), "row": jsonify_row(row)}
         _M_STORE_PUTS.inc()
-        return self._write_json(self._point_path(key, point), payload)
+        return write_json(self._point_path(key, point), payload, indent=None)
 
     def get(self, key: RunKey, point: Tuple) -> Optional[Dict[str, Any]]:
         """The stored row for ``point``, or ``None`` on a miss."""
@@ -195,8 +185,7 @@ class RunStore:
 
     def _read_json(self, path: str) -> Optional[Dict[str, Any]]:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            payload = read_json(path)
         except (OSError, ValueError):
             # Missing or torn entries read as misses and are recomputed.
             return None
@@ -222,7 +211,9 @@ class RunStore:
         }
         if scale is not None:
             payload["scale_config"] = jsonify(dataclasses.asdict(scale))
-        return self._write_json(os.path.join(self.directory(key), "manifest.json"), payload)
+        return write_json(
+            os.path.join(self.directory(key), "manifest.json"), payload, indent=None
+        )
 
 
 def resolve_store(store) -> Optional[RunStore]:
@@ -247,23 +238,12 @@ def write_artifact(path: str, table, key: Optional[RunKey] = None) -> str:
         payload["experiment"] = key.experiment
         payload["scale"] = key.scale
         payload["config_hash"] = key.config_hash
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    temporary = staging_path(path)
-    with open(temporary, "w", encoding="utf-8") as handle:
-        # No sort_keys: the rows' key order is the table's column order.
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    os.replace(temporary, path)
-    return path
+    return write_json(path, payload)
 
 
 def load_artifact(path: str):
     """Re-hydrate a run artifact written by :func:`write_artifact`."""
     from repro.experiments.results import ResultTable
 
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
-        raise ValueError(f"{path!r} is not a {ARTIFACT_FORMAT} run artifact")
+    payload = read_json(path, ARTIFACT_FORMAT)
     return ResultTable.from_records(payload.get("rows", []), title=payload.get("title", "run"))

@@ -8,7 +8,6 @@ mask — the resulting subnetwork is what gets transferred downstream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -17,7 +16,9 @@ import numpy as np
 from repro.models.registry import build_model
 from repro.models.resnet import ResNet
 from repro.pruning.mask import PruningMask
-from repro.utils.checkpoint import load_state_dict, save_state_dict, verify_dtypes
+from repro.utils.checkpoint import load_bundle, members, save_bundle, verify_dtypes
+
+_HEADER_KEY = "__ticket_header__"
 
 
 @dataclass
@@ -91,23 +92,19 @@ class Ticket:
     # Serialisation
     # ------------------------------------------------------------------
     def save(self, path: str) -> str:
-        """Save the ticket (mask + pretrained weights + metadata) to an ``.npz`` archive.
+        """Save the ticket (mask + pretrained weights + metadata) to an ``.npz`` bundle.
 
         Weights and mask arrays are stored under ``weight./`` and ``mask./``
-        prefixes; scalar fields travel in a JSON header entry, so a single
+        prefixes; scalar fields travel in a JSON header member, so a single
         file is enough to reconstruct the ticket elsewhere.  The header
         also records the exact dtype of every stored array, and
         :meth:`load` verifies them, so a ticket saved from a ``float32``
         engine can never silently come back in a different precision.
-        The write is atomic (see
-        :func:`repro.utils.checkpoint.save_state_dict`): a killed
+        The write is atomic (see :mod:`repro.utils.checkpoint`): a killed
         process cannot leave a truncated ticket at ``path``.
         """
-        payload: Dict[str, np.ndarray] = {}
-        for name, value in self.backbone_state.items():
-            payload[f"weight./{name}"] = value
-        for name, value in self.mask.as_dict().items():
-            payload[f"mask./{name}"] = value
+        arrays = {f"weight./{name}": value for name, value in self.backbone_state.items()}
+        arrays.update({f"mask./{name}": value for name, value in self.mask.as_dict().items()})
         header = {
             "scheme": self.scheme,
             "prior": self.prior,
@@ -116,44 +113,26 @@ class Ticket:
             "sparsity": self.sparsity,
             "granularity": self.granularity,
             "metadata": self.metadata,
-            "dtypes": {name: str(np.asarray(value).dtype) for name, value in payload.items()},
+            "dtypes": {name: str(np.asarray(value).dtype) for name, value in arrays.items()},
         }
-        payload["__ticket_header__"] = np.frombuffer(
-            json.dumps(header).encode("utf-8"), dtype=np.uint8
-        )
-        return save_state_dict(payload, path)
+        return save_bundle(path, arrays, header, _HEADER_KEY)
 
     @classmethod
     def load(cls, path: str) -> "Ticket":
         """Load a ticket previously written by :meth:`save`."""
-        payload = load_state_dict(path)
-        if "__ticket_header__" not in payload:
-            raise ValueError(f"{path!r} does not contain a serialised Ticket")
-        header = json.loads(payload["__ticket_header__"].tobytes().decode("utf-8"))
+        header, arrays = load_bundle(path, _HEADER_KEY)
         # Tickets written since the header gained ``dtypes`` carry the
         # exact dtype of every array; verify the archive round-tripped
         # them so precision changes can never slip through silently.
-        verify_dtypes(header.get("dtypes", {}), payload, path)
-        backbone_state = {
-            name[len("weight./") :]: value
-            for name, value in payload.items()
-            if name.startswith("weight./")
-        }
-        mask = PruningMask(
-            {
-                name[len("mask./") :]: value
-                for name, value in payload.items()
-                if name.startswith("mask./")
-            }
-        )
+        verify_dtypes(header.get("dtypes", {}), arrays, path)
         return cls(
             scheme=header["scheme"],
             prior=header["prior"],
             model_name=header["model_name"],
             base_width=int(header["base_width"]),
             sparsity=float(header["sparsity"]),
-            mask=mask,
-            backbone_state=backbone_state,
+            mask=PruningMask(members(arrays, "mask./")),
+            backbone_state=members(arrays, "weight./"),
             granularity=header["granularity"],
             metadata=dict(header["metadata"]),
         )

@@ -43,6 +43,7 @@ from repro.experiments.registry import (
     get_spec,
     run_experiment,
 )
+from repro.utils.checkpoint import write_file
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,8 +168,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     table = run_experiment(args.experiment, scale=args.scale, workers=workers, store=store)
     print(table.to_text())
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(table.to_csv() + "\n")
+        write_file(args.csv, table.to_csv() + "\n")
         print(f"\nwrote {len(table)} rows to {args.csv}")
     if args.output:
         path = write_artifact(

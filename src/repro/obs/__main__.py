@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from repro.obs.docgen import generate_reference
+from repro.utils.checkpoint import write_file
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +57,7 @@ def main(argv=None) -> int:
         print(f"{args.check} matches registry declarations")
         return 0
     if args.output is not None:
-        args.output.write_text(reference)
+        write_file(str(args.output), reference)
         print(f"wrote {args.output}")
         return 0
     sys.stdout.write(reference)

@@ -15,10 +15,10 @@ plus everything a server needs to answer traffic with it —
   resolution, value range), and free-form provenance (experiment id,
   scale, run-store config hash, winning-row metrics).
 
-Scalar fields travel in a JSON header entry exactly like
+Scalar fields travel in a JSON header member exactly like
 :meth:`repro.core.tickets.Ticket.save`; arrays keep their native npz
 encoding.  Writes are atomic (staging + rename via
-:func:`repro.utils.checkpoint.save_state_dict`), so a killed export can
+:func:`repro.utils.checkpoint.save_bundle`), so a killed export can
 never leave a truncated artifact for a server to trip over.
 
 ``export_artifact`` seals a :class:`~repro.core.tickets.Ticket` (plus a
@@ -29,7 +29,6 @@ evaluation graph.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -44,7 +43,7 @@ from repro.nn.module import Module
 from repro.pruning.mask import PruningMask
 from repro.tensor import sparse as _sparse
 from repro.tensor.dtypes import default_dtype_scope
-from repro.utils.checkpoint import load_state_dict, save_state_dict, verify_dtypes
+from repro.utils.checkpoint import load_bundle, members, save_bundle, verify_dtypes
 
 __all__ = [
     "MODEL_ARTIFACT_FORMAT",
@@ -76,14 +75,19 @@ SPARSE_ENCODE_MIN_SPARSITY = 0.25
 SPARSE_ENCODE_MIN_SIZE = 1024
 
 
-def _parse_header(path: str, raw: np.ndarray) -> Dict[str, object]:
-    """Decode and validate the JSON header entry of an artifact archive.
+def _read(path: str, prefix: str = "") -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """The checked header and the ``prefix...`` arrays of an artifact bundle.
 
     Shared by :meth:`ModelArtifact.load` and :func:`read_artifact_meta`
     so a format/version bump can never make metadata reads and full
     loads disagree about which artifacts are valid.
     """
-    header = json.loads(raw.tobytes().decode("utf-8"))
+    try:
+        header, arrays = load_bundle(path, _HEADER_KEY, prefix)
+    except (OSError, ValueError) as error:
+        raise ValueError(
+            f"cannot read {MODEL_ARTIFACT_FORMAT} artifact {path!r}: {error}"
+        ) from error
     if header.get("format") != MODEL_ARTIFACT_FORMAT:
         raise ValueError(
             f"{path!r} has format {header.get('format')!r}, "
@@ -94,7 +98,7 @@ def _parse_header(path: str, raw: np.ndarray) -> Dict[str, object]:
             f"{path!r} has artifact version {header.get('version')!r}, "
             f"this build reads version {MODEL_ARTIFACT_VERSION}"
         )
-    return header
+    return header, arrays
 
 
 def _meta_dict(
@@ -240,7 +244,7 @@ class ModelArtifact:
         self-consistent by re-sealing until the recorded number matches
         the file it lands in.
         """
-        payload: Dict[str, np.ndarray] = {}
+        arrays: Dict[str, np.ndarray] = {}
         sparse_shapes: Dict[str, list] = {}
         dense_bytes = 0
         encoded_bytes = 0
@@ -254,17 +258,17 @@ class ModelArtifact:
             ):
                 values, bits = _sparse.pack_dense(array)
                 if values.nbytes + bits.nbytes < array.nbytes:
-                    payload[f"{_SPARSE_PREFIX}{name}/values"] = values
-                    payload[f"{_SPARSE_PREFIX}{name}/bits"] = bits
+                    arrays[f"{_SPARSE_PREFIX}{name}/values"] = values
+                    arrays[f"{_SPARSE_PREFIX}{name}/bits"] = bits
                     sparse_shapes[name] = list(array.shape)
                     encoded_bytes += values.nbytes + bits.nbytes
                     continue
-            payload[f"{_STATE_PREFIX}{name}"] = array
+            arrays[f"{_STATE_PREFIX}{name}"] = array
             encoded_bytes += array.nbytes
         mask_shapes: Dict[str, list] = {}
         for name, value in self.mask_state.items():
             mask = np.asarray(value, dtype=np.uint8)
-            payload[f"{_MASK_PREFIX}{name}"] = np.packbits(mask.reshape(-1))
+            arrays[f"{_MASK_PREFIX}{name}"] = np.packbits(mask.reshape(-1))
             mask_shapes[name] = list(mask.shape)
         self.provenance["state_bytes"] = {
             "dense": int(dense_bytes),
@@ -287,10 +291,7 @@ class ModelArtifact:
                 "preprocessing": self.preprocessing,
                 "provenance": self.provenance,
             }
-            payload[_HEADER_KEY] = np.frombuffer(
-                json.dumps(header).encode("utf-8"), dtype=np.uint8
-            )
-            written = save_state_dict(payload, path)
+            written = save_bundle(path, arrays, header, _HEADER_KEY)
             size = os.path.getsize(written)
             if self.provenance.get("artifact_bytes") == size:
                 break
@@ -303,20 +304,11 @@ class ModelArtifact:
     @classmethod
     def load(cls, path: str) -> "ModelArtifact":
         """Re-hydrate an artifact previously written by :meth:`save`."""
-        try:
-            payload = load_state_dict(path)
-        except (OSError, ValueError) as error:
-            raise ValueError(f"cannot read model artifact {path!r}: {error}") from error
-        if _HEADER_KEY not in payload:
-            raise ValueError(f"{path!r} is not a {MODEL_ARTIFACT_FORMAT} artifact")
-        header = _parse_header(path, payload[_HEADER_KEY])
-        state: Dict[str, np.ndarray] = {}
-        for name, value in payload.items():
-            if name.startswith(_STATE_PREFIX):
-                state[name[len(_STATE_PREFIX) :]] = value
+        header, arrays = _read(path)
+        state = members(arrays, _STATE_PREFIX)
         for name, shape in header.get("sparse_shapes", {}).items():
-            values = payload.get(f"{_SPARSE_PREFIX}{name}/values")
-            bits = payload.get(f"{_SPARSE_PREFIX}{name}/bits")
+            values = arrays.get(f"{_SPARSE_PREFIX}{name}/values")
+            bits = arrays.get(f"{_SPARSE_PREFIX}{name}/bits")
             if values is None or bits is None:
                 raise ValueError(
                     f"artifact {path!r} is missing the sparse payload for {name!r}"
@@ -326,7 +318,7 @@ class ModelArtifact:
         mask_state: Dict[str, np.ndarray] = {}
         for name, shape in header.get("mask_shapes", {}).items():
             mask_state[name] = _unpack_mask(
-                path, name, shape, payload.get(f"{_MASK_PREFIX}{name}")
+                path, name, shape, arrays.get(f"{_MASK_PREFIX}{name}")
             )
         return cls(
             model_name=header["model_name"],
@@ -473,23 +465,13 @@ def read_artifact_meta(path: str) -> Dict[str, object]:
     registering many multi-megabyte artifacts with a
     :class:`~repro.serve.store.ModelStore` stays cheap.
     """
-    if not path.endswith(".npz"):
-        path = path + ".npz"
-    try:
-        with np.load(path) as archive:
-            if _HEADER_KEY not in archive.files:
-                raise ValueError(f"{path!r} is not a {MODEL_ARTIFACT_FORMAT} artifact")
-            header = _parse_header(path, archive[_HEADER_KEY])
-            total = 0
-            kept = 0
-            for name, shape in header.get("mask_shapes", {}).items():
-                member = f"{_MASK_PREFIX}{name}"
-                packed = archive[member] if member in archive.files else None
-                mask = _unpack_mask(path, name, shape, packed)
-                total += mask.size
-                kept += int(mask.sum())
-    except OSError as error:
-        raise ValueError(f"cannot read model artifact {path!r}: {error}") from error
+    header, packed = _read(path, _MASK_PREFIX)
+    total = 0
+    kept = 0
+    for name, shape in header.get("mask_shapes", {}).items():
+        mask = _unpack_mask(path, name, shape, packed.get(f"{_MASK_PREFIX}{name}"))
+        total += mask.size
+        kept += int(mask.sum())
     return _meta_dict(
         header["model_name"],
         header["base_width"],

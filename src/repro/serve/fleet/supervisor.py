@@ -68,6 +68,16 @@ __all__ = [
 #: The shard lifecycle states a slot may be in.
 SHARD_STATES = ("starting", "live", "dead", "failed")
 
+#: How long a spawned worker may take to warm-load and say hello.
+SPAWN_TIMEOUT_S = 120.0
+#: Default deadline a blocking predict waits for its reply.
+REQUEST_TIMEOUT_S = 120.0
+#: Restart backoff ceiling.
+RESTART_BACKOFF_MAX_S = 2.0
+#: Sliding window the crash counter covers (``FleetConfig.max_restarts``
+#: crashes inside it trip the breaker).
+RESTART_WINDOW_S = 30.0
+
 
 def _declare_fleet_instruments(registry: MetricsRegistry) -> Dict[str, object]:
     """Declare every fleet instrument family into ``registry``.
@@ -167,20 +177,10 @@ class FleetConfig:
     heartbeat_interval_s: float = 0.5
     #: Pong silence after which a live shard is declared dead.
     heartbeat_timeout_s: float = 3.0
-    #: How long a spawned worker may take to warm-load and say hello.
-    spawn_timeout_s: float = 120.0
-    #: Default deadline a blocking predict waits for its reply.
-    request_timeout_s: float = 120.0
     #: First restart backoff; doubles per crash inside the window.
     restart_backoff_s: float = 0.05
-    #: Backoff ceiling.
-    restart_backoff_max_s: float = 2.0
-    #: Crashes inside ``restart_window_s`` before the breaker trips.
+    #: Crashes inside :data:`RESTART_WINDOW_S` before the breaker trips.
     max_restarts: int = 5
-    #: Sliding window the crash counter covers.
-    restart_window_s: float = 30.0
-    #: Handler threads per worker (requests coalesce in its batcher).
-    handler_threads: int = 4
     #: Chaos spec for fault injection (None: read ``REPRO_CHAOS``).
     chaos: Optional[str] = None
 
@@ -459,13 +459,12 @@ class FleetSupervisor:
                 sorted(self._artifacts.items()),
                 asdict(self.config.engine),
                 self._chaos_spec,
-                self.config.handler_threads,
             ),
         )
         link = _ShardLink(slot.index, generation, token, process)
         try:
             process.start()
-            booted = waiter.event.wait(self.config.spawn_timeout_s) and waiter.conn is not None
+            booted = waiter.event.wait(SPAWN_TIMEOUT_S) and waiter.conn is not None
         except BaseException:
             booted = False
         with self._lock:
@@ -509,14 +508,13 @@ class FleetSupervisor:
         """Backoff/breaker bookkeeping for one crash (lock held by caller,
         who also counts it on the ``crashes`` instrument)."""
         now = time.monotonic()
-        window = self.config.restart_window_s
-        slot.crash_times = [t for t in slot.crash_times if now - t <= window] + [now]
+        slot.crash_times = [t for t in slot.crash_times if now - t <= RESTART_WINDOW_S] + [now]
         if len(slot.crash_times) > self.config.max_restarts:
             slot.state = "failed"  # circuit breaker open: no more restarts
         else:
             slot.state = "dead"
             backoff = self.config.restart_backoff_s * (2 ** (len(slot.crash_times) - 1))
-            slot.restart_at = now + min(backoff, self.config.restart_backoff_max_s)
+            slot.restart_at = now + min(backoff, RESTART_BACKOFF_MAX_S)
 
     def _shard_down(self, link: _ShardLink, reason: str) -> None:
         """Handle one incarnation dying: drain its queue and re-route."""
@@ -856,7 +854,7 @@ class FleetSupervisor:
             )
         pending = _Pending(name, np.asarray(inputs))
         self._dispatch(pending)
-        deadline = timeout if timeout is not None else self.config.request_timeout_s
+        deadline = timeout if timeout is not None else REQUEST_TIMEOUT_S
         if not pending.done.wait(deadline):
             raise TimeoutError(f"fleet request for {name!r} timed out after {deadline}s")
         if pending.error is not None:

@@ -59,6 +59,9 @@ EXIT_CHAOS_KILL = 17
 #: How often the reader loop wakes to check the drain flag while idle.
 _IDLE_POLL_S = 0.25
 
+#: Handler threads per worker (concurrent requests coalesce in its batcher).
+HANDLER_THREADS = 4
+
 
 def _connect(family_name: str, address) -> socket.socket:
     family = getattr(socket, family_name)
@@ -76,7 +79,6 @@ class _Worker:
         shard_index: int,
         store: ModelStore,
         chaos_spec: Optional[str],
-        handler_threads: int,
     ) -> None:
         self.sock = sock
         self.shard_index = shard_index
@@ -86,7 +88,7 @@ class _Worker:
         self.exit_code = EXIT_OK
         self._write_lock = threading.Lock()
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, handler_threads), thread_name_prefix=f"shard{shard_index}-handler"
+            max_workers=HANDLER_THREADS, thread_name_prefix=f"shard{shard_index}-handler"
         )
         # Reader-thread-only counters: chaos triggers are deterministic
         # in the order frames arrive, which is the order the supervisor
@@ -246,7 +248,6 @@ def worker_main(
     artifacts: Sequence[Tuple[str, str]],
     engine_config: Optional[dict] = None,
     chaos_spec: Optional[str] = None,
-    handler_threads: int = 4,
 ) -> int:
     """Run one shard worker to completion; returns the exit code."""
     # Warm spawn: every artifact loads before the hello, so a shard that
@@ -268,7 +269,7 @@ def worker_main(
         # a traceback nobody can act on.
         store.close()
         return EXIT_OK
-    worker = _Worker(sock, shard_index, store, chaos_spec, handler_threads)
+    worker = _Worker(sock, shard_index, store, chaos_spec)
 
     def _drain_signal(signum, frame):  # noqa: ARG001 - stdlib signature
         worker.draining.set()
@@ -299,7 +300,6 @@ def worker_entry(
     artifacts: List[Tuple[str, str]],
     engine_config: Optional[dict],
     chaos_spec: Optional[str],
-    handler_threads: int,
 ) -> None:
     """``multiprocessing`` entry point (spawn-safe: primitives only)."""
     sys.exit(
@@ -311,6 +311,5 @@ def worker_entry(
             artifacts,
             engine_config=engine_config,
             chaos_spec=chaos_spec,
-            handler_threads=handler_threads,
         )
     )

@@ -140,7 +140,7 @@ class TestAtomicWriteRule:
         """
         assert rules_hit(source, "repro/serve/example.py") == {"atomic-write"}
 
-    def test_staged_write_is_clean(self):
+    def test_hand_rolled_staging_is_flagged(self):
         source = """
             import os
             from repro.utils.checkpoint import staging_path
@@ -151,7 +151,14 @@ class TestAtomicWriteRule:
                     handle.write(payload)
                 os.replace(stage, path)
         """
-        assert rules_hit(source, "repro/serve/example.py") == set()
+        findings = lint(source, "repro/serve/example.py")
+        assert [f.rule for f in findings] == ["atomic-write"]
+        assert "repro.utils.checkpoint" in findings[0].message
+
+    def test_checkpoint_module_is_the_one_writer(self):
+        source = 'def save(path):\n    open(path, "w").close()\n'
+        assert rules_hit(source, "repro/utils/checkpoint.py") == set()
+        assert rules_hit(source, "repro/utils/other.py") == {"atomic-write"}
 
     def test_np_save_flagged_and_reads_clean(self):
         source = """
@@ -168,9 +175,18 @@ class TestAtomicWriteRule:
         assert [f.rule for f in findings] == ["atomic-write"]
         assert "np.save" in findings[0].message
 
-    def test_out_of_scope_packages_are_exempt(self):
-        source = 'def save(path):\n    open(path, "w").close()\n'
-        assert rules_hit(source, "repro/experiments/example.py") == set()
+    def test_experiments_package_is_checked(self):
+        source = """
+            def export(path, table):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(table)
+
+            def doc(output, text):
+                output.write_text(text)
+        """
+        findings = lint(source, "repro/experiments/example.py")
+        assert [f.rule for f in findings] == ["atomic-write", "atomic-write"]
+        assert ".write_text()" in findings[1].message
 
 
 class TestMutableDefaultRule:

@@ -29,11 +29,11 @@ from repro.bench import (
     render_verdicts,
     run_suite,
     suite_benchmarks,
-    write_artifact,
 )
 from repro.bench import specs as bench_specs
 from repro.bench.cli import main as bench_main
 from repro.tensor import sparse as tensor_sparse
+from repro.utils.checkpoint import write_json
 
 #: A deterministic fake machine speed: one unit == one millisecond.
 UNIT = Calibration(unit_s=1e-3, spin_s=1e-3, blas_s=1e-3)
@@ -289,7 +289,7 @@ def test_csr_bound_breaks_exactly_where_the_old_payload_raised(csr_grid, monkeyp
 
 def test_artifact_round_trip(tmp_path):
     artifact = run_suite([_spec()], suite="smoke", calibration=UNIT)
-    path = write_artifact(str(tmp_path / "run.json"), artifact)
+    path = write_json(str(tmp_path / "run.json"), artifact)
     loaded = load_artifact(path)
     assert loaded["format"] == ARTIFACT_FORMAT
     assert loaded["suite"] == "smoke"
@@ -306,7 +306,7 @@ def test_artifact_round_trip(tmp_path):
 
 def test_artifact_round_trip_keeps_violations(tmp_path):
     artifact = run_suite([_bounded_spec([1.0], ("speedup", ">=", 1.5))], calibration=UNIT)
-    path = write_artifact(str(tmp_path / "run.json"), artifact)
+    path = write_json(str(tmp_path / "run.json"), artifact)
     (result,) = artifact_results(load_artifact(path))
     assert result.violations == ["call 1 of 1: speedup = 1.0 breaks speedup >= 1.5"]
     # An artifact written before bounds existed reads as having none.
@@ -423,7 +423,7 @@ def test_compare_corrupt_committed_baseline_fails_the_gate(tmp_path, temp_regist
     assert verdict.failing
     assert has_regression([verdict])
     run_path = str(tmp_path / "run.json")
-    write_artifact(run_path, artifact)
+    write_json(run_path, artifact)
     assert bench_main(["compare", run_path, "--baselines", str(tmp_path)]) == 1
 
 
@@ -441,7 +441,7 @@ def test_compare_fails_a_broken_bound_with_or_without_a_baseline(tmp_path, temp_
         assert "speedup = 1.0 breaks speedup >= 1.5" in verdict.note
         assert verdict.note in render_verdicts([verdict])
     run_path = str(tmp_path / "run.json")
-    write_artifact(run_path, artifact)
+    write_json(run_path, artifact)
     for store in (empty, neutral):
         assert bench_main(["compare", run_path, "--baselines", store.root]) == 1
 
@@ -450,7 +450,7 @@ def test_cli_update_baseline_refuses_a_broken_bound(tmp_path, temp_register, cap
     name = "test.unblessable"
     temp_register(_bounded_spec([1.0], ("speedup", ">=", 1.5), name=name))
     run_path = str(tmp_path / "run.json")
-    write_artifact(run_path, run_suite([BENCHMARKS[name]], calibration=UNIT))
+    write_json(run_path, run_suite([BENCHMARKS[name]], calibration=UNIT))
     baselines = tmp_path / "baselines"
     assert bench_main(["update-baseline", run_path, "--baselines", str(baselines)]) == 1
     assert "speedup >= 1.5" in capsys.readouterr().err

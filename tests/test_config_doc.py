@@ -3,18 +3,22 @@
 Its flag tables must name the ``--`` options of the two CLI parsers,
 and its environment table the ``REPRO_*`` string literals in ``src/``:
 a flag or variable added, renamed or removed on one side only fails
-here.  The CI ``docs-gate`` job runs this file.
+here.  The README's lint paragraph must list exactly the rules
+``python -m repro.analysis lint`` runs.  The CI ``docs-gate`` job runs
+this file.
 """
 
 import ast
 import os
 import re
 
+from repro.analysis.rules import rule_ids
 from repro.experiments.cli import build_parser as experiments_parser
 from repro.serve.http import build_parser as serve_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG = os.path.join(ROOT, "docs", "CONFIG.md")
+README = os.path.join(ROOT, "README.md")
 SRC = os.path.join(ROOT, "src")
 
 ENV_VAR = re.compile(r"REPRO_[A-Z0-9_]+")
@@ -74,3 +78,12 @@ def test_experiments_flags_match_the_parser():
 def test_environment_table_matches_the_variables_in_src():
     documented = sorted(_first_cells("Environment variables"))
     assert documented == _env_literals()
+
+
+def test_readme_lint_paragraph_lists_every_rule():
+    with open(README, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    start = text.index("**Lint.**")
+    paragraph = text[start : text.index("`--strict`", start)]
+    documented = re.findall(r"^- `([^`]+)`", paragraph, flags=re.MULTILINE)
+    assert documented == rule_ids()

@@ -300,3 +300,83 @@ class TestSweepCache:
         path = tmp_path / "pretrain-deadbeef.npz"
         path.write_bytes(b"not an npz archive")
         assert cache.load_pretrain("deadbeef") is None
+
+    def test_pretrain_entry_with_its_header_first_still_loads(self, tmp_path):
+        """An entry whose header is the archive's first member (the layout
+        before the header moved last) loads to the same result."""
+        import json
+
+        from repro.core.cache import CACHE_FORMAT_VERSION, SweepCache
+        from repro.training.pretrain import PretrainResult
+        from repro.utils.checkpoint import save_state_dict
+
+        result = PretrainResult(
+            scheme="adversarial",
+            model_name="resnet18",
+            backbone_state={"conv1.weight": np.arange(8.0).reshape(2, 2, 2, 1)},
+            head_state={"weight": np.ones((3, 2), dtype=np.float32)},
+            source_accuracy=0.625,
+            config={"epochs": 2.0},
+        )
+        header = {
+            "version": CACHE_FORMAT_VERSION,
+            "scheme": result.scheme,
+            "model_name": result.model_name,
+            "source_accuracy": result.source_accuracy,
+            "config": result.config,
+        }
+        header_first = {
+            "__sweep_cache_header__": np.frombuffer(
+                json.dumps(header).encode("utf-8"), dtype=np.uint8
+            ),
+            "backbone./conv1.weight": result.backbone_state["conv1.weight"],
+            "head./weight": result.head_state["weight"],
+        }
+        save_state_dict(header_first, str(tmp_path / "old" / "pretrain-abc.npz"))
+        new_cache = SweepCache(str(tmp_path / "new"))
+        new_cache.store_pretrain("abc", result)
+
+        old = SweepCache(str(tmp_path / "old")).load_pretrain("abc")
+        new = new_cache.load_pretrain("abc")
+        for loaded in (old, new):
+            assert loaded is not None
+            assert (loaded.scheme, loaded.model_name, loaded.config) == (
+                result.scheme,
+                result.model_name,
+                result.config,
+            )
+            assert loaded.source_accuracy == result.source_accuracy
+            for got, want in (
+                (loaded.backbone_state, result.backbone_state),
+                (loaded.head_state, result.head_state),
+            ):
+                assert sorted(got) == sorted(want)
+                for name, value in want.items():
+                    assert got[name].dtype == value.dtype
+                    np.testing.assert_array_equal(got[name], value)
+
+    def test_truncated_and_headerless_entries_are_misses(self, tmp_path):
+        from repro.core.cache import SweepCache
+        from repro.obs.registry import default_registry
+        from repro.utils.checkpoint import save_state_dict
+
+        def counts(kind):
+            registry = default_registry()
+            return (
+                registry.value("sweep_cache_hits_total", kind=kind),
+                registry.value("sweep_cache_misses_total", kind=kind),
+            )
+
+        cache = SweepCache(str(tmp_path))
+        save_state_dict({"w": np.zeros(64)}, str(tmp_path / "pretrain-headerless.npz"))
+        full = save_state_dict({"w": np.zeros(64)}, str(tmp_path / "whole.npz"))
+        with open(full, "rb") as handle:
+            truncated = handle.read()[:100]
+        (tmp_path / "ticket-truncated.npz").write_bytes(truncated)
+        for kind, key, read in (
+            ("pretrain", "headerless", cache.load_pretrain),
+            ("ticket", "truncated", cache.load_ticket),
+        ):
+            hits, misses = counts(kind)
+            assert read(key) is None
+            assert counts(kind) == (hits, misses + 1)

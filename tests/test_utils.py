@@ -1,10 +1,18 @@
 """Unit tests for seeding, checkpointing, and logging utilities."""
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.analysis.findings import Finding, dump_report
+from repro.bench.baseline import Baseline, BaselineStore
+from repro.bench.calibrate import Calibration
+from repro.core import runstore
+from repro.experiments import cli as experiments_cli
+from repro.experiments.config import get_scale
+from repro.experiments.results import ResultTable
 from repro.models.resnet import resnet18
 from repro.utils import (
     MetricLogger,
@@ -14,6 +22,7 @@ from repro.utils import (
     seeded_rng,
     spawn_rngs,
 )
+from repro.utils.checkpoint import read_json, save_bundle, write_file, write_json
 
 
 class TestSeeding:
@@ -93,6 +102,96 @@ class TestCheckpoint:
         save_state_dict({"w": np.ones(8)}, path)
         np.testing.assert_array_equal(load_state_dict(path)["w"], np.ones(8))
         assert os.listdir(tmp_path) == ["shared.npz"]
+
+
+def _table(version):
+    return ResultTable("t", [{"sparsity": 0.5, "accuracy": 0.25 * version}])
+
+
+_KEY = runstore.RunKey(experiment="exp", scale="smoke", config_hash="abc")
+
+
+def _write_csv(directory, version):
+    path = os.path.join(directory, "rows.csv")
+    with mock.patch.object(
+        experiments_cli, "run_experiment", lambda *args, **kwargs: _table(version)
+    ):
+        experiments_cli.main(["fig2", "--csv", path])
+    return path
+
+
+#: Every public writer as ``(directory, version) -> path``; each
+#: version writes different bytes to the same path.
+WRITERS = {
+    "write_json": lambda d, v: write_json(os.path.join(d, "doc.json"), {"v": v}),
+    "write_file": lambda d, v: write_file(os.path.join(d, "doc.txt"), f"v{v}\n"),
+    "save_state_dict": lambda d, v: save_state_dict(
+        {"w": np.full(3, v)}, os.path.join(d, "state.npz")
+    ),
+    "save_bundle": lambda d, v: save_bundle(
+        os.path.join(d, "bundle.npz"), {"w": np.full(3, v)}, {"v": v}, "__header__"
+    ),
+    "BaselineStore.save": lambda d, v: BaselineStore(d).save(
+        Baseline("spec", units=v, wall_s={"median": v}, calibration=Calibration(1.0, 1.0, 1.0))
+    ),
+    "RunStore.put": lambda d, v: runstore.RunStore(d).put(_KEY, (0.5,), {"v": v}),
+    "RunStore.write_manifest": lambda d, v: runstore.RunStore(d).write_manifest(
+        _KEY, scale=get_scale("smoke") if v else None
+    ),
+    "runstore.write_artifact": lambda d, v: runstore.write_artifact(
+        os.path.join(d, "run.json"), _table(v)
+    ),
+    "dump_report": lambda d, v: dump_report(
+        [Finding("repro/x.py", v + 1, 0, "atomic-write", "m")], os.path.join(d, "lint.json")
+    ),
+    "--csv": _write_csv,
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_keeps_the_old_file_and_leaves_no_staging_file(
+    tmp_path, monkeypatch, writer
+):
+    """A write that fails at the rename raises, keeps the previous file
+    byte for byte, and removes its staging file."""
+    write = WRITERS[writer]
+    path = write(str(tmp_path), 0)
+    with open(path, "rb") as handle:
+        before = handle.read()
+
+    def failing_replace(source, target):
+        raise OSError("simulated failure at the rename")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="simulated"):
+        write(str(tmp_path), 1)
+    monkeypatch.undo()
+
+    with open(path, "rb") as handle:
+        assert handle.read() == before
+    staged = [
+        name for _, _, names in os.walk(tmp_path) for name in names if name.endswith(".tmp")
+    ]
+    assert staged == []
+
+
+class TestJsonDocuments:
+    def test_round_trip_keeps_key_order(self, tmp_path):
+        path = write_json(str(tmp_path / "doc.json"), {"format": "x/v1", "b": 1, "a": [2.5]})
+        assert list(read_json(path, "x/v1")) == ["format", "b", "a"]
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read().endswith("}\n")
+
+    def test_single_line_document_has_no_trailing_newline(self, tmp_path):
+        path = write_json(str(tmp_path / "doc.json"), {"b": 1, "a": 2}, indent=None)
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read() == '{"b": 1, "a": 2}'
+
+    @pytest.mark.parametrize("document", [{"format": "y/v1"}, {"rows": []}, [1, 2]])
+    def test_format_tag_is_checked(self, tmp_path, document):
+        path = write_json(str(tmp_path / "doc.json"), document)
+        with pytest.raises(ValueError, match="expected x/v1"):
+            read_json(path, "x/v1")
 
 
 class TestMetricLogger:
