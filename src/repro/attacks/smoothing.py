@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.nn.module import Module
 from repro.tensor import Tensor, default_dtype, no_grad
@@ -83,6 +82,8 @@ class RandomizedSmoothing:
         lower_bound = _binomial_lower_bound(top_count, self.num_samples, self.alpha)
         if lower_bound <= 0.5:
             return SmoothedPrediction(prediction=top_class, certified_radius=0.0, abstained=True)
+        from scipy import stats
+
         radius = self.sigma * stats.norm.ppf(lower_bound)
         return SmoothedPrediction(prediction=top_class, certified_radius=float(radius), abstained=False)
 
@@ -130,4 +131,6 @@ def _binomial_lower_bound(successes: int, trials: int, alpha: float) -> float:
         return 0.0
     if successes == trials:
         return float(alpha ** (1.0 / trials))
+    from scipy import stats
+
     return float(stats.beta.ppf(alpha, successes, trials - successes + 1))

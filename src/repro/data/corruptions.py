@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 import numpy as np
-from scipy import ndimage
 
 from repro.tensor import default_dtype
 
@@ -31,6 +30,8 @@ def gaussian_noise(images: np.ndarray, severity: int, rng: np.random.Generator) 
 def gaussian_blur(images: np.ndarray, severity: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian blur applied per channel."""
     sigma = _severity_scale(severity, [0.4, 0.6, 0.8, 1.1, 1.5])
+    from scipy import ndimage
+
     blurred = ndimage.gaussian_filter(images, sigma=(0, 0, sigma, sigma))
     return np.clip(blurred, 0.0, 1.0)
 

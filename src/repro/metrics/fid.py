@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 
 from repro.data.dataset import ArrayDataset
 from repro.models.resnet import resnet18
@@ -52,6 +51,7 @@ def frechet_distance(
     cov_b = np.atleast_2d(np.asarray(cov_b, dtype=ACCUMULATION_DTYPE))
     if mean_a.shape != mean_b.shape:
         raise ValueError("mean vectors must have the same shape")
+    from scipy import linalg
 
     difference = mean_a - mean_b
     offset = np.eye(cov_a.shape[0]) * 1e-8

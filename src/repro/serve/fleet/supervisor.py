@@ -124,6 +124,10 @@ def _declare_fleet_instruments(registry: MetricsRegistry) -> Dict[str, object]:
         "heartbeat_rtt": registry.histogram(
             "fleet_heartbeat_rtt_s", "Ping-to-pong round-trip time per live shard."
         ),
+        "shard_boot": registry.histogram(
+            "fleet_shard_boot_s",
+            "Process start to hello per shard incarnation, first boots and restarts alike.",
+        ),
         "parked": registry.gauge(
             "fleet_parked_requests", "Accepted requests parked while no shard is live.", unit="requests"
         ),
@@ -462,6 +466,7 @@ class FleetSupervisor:
             ),
         )
         link = _ShardLink(slot.index, generation, token, process)
+        started = time.monotonic()
         try:
             process.start()
             booted = waiter.event.wait(SPAWN_TIMEOUT_S) and waiter.conn is not None
@@ -491,6 +496,7 @@ class FleetSupervisor:
                 slot.link = link
                 slot.generation = generation
                 slot.state = "live"
+                self._metrics["shard_boot"].observe(now - started)
                 if was_restart:
                     self._metrics["restarts"].inc()
                 parked = self._parked

@@ -10,13 +10,15 @@ sparse kernel when it is measured to win.
 
 Backends
 --------
-``scipy.sparse`` is the accelerated backend (scipy is already a
-declared dependency of this project's metrics).  Without scipy a pure
-numpy CSR kernel (row-gather + segmented ``np.add.reduceat``) keeps the
-path functional, but it never beats OpenBLAS dense GEMM on this
-engine's shapes, so ``auto`` mode disables dispatch when scipy is
-missing; the fallback exists for ``force`` mode (tests, correctness
-bounds) and for environments that strip scipy.
+``scipy.sparse`` is the accelerated backend (scipy is a declared
+dependency of the project).  It is imported when the first CSR kernel
+is built, not when this module loads: a process whose weights never
+dispatch (every channel ticket, every dense model) never imports scipy.
+Without scipy a pure numpy CSR kernel (row-gather + segmented
+``np.add.reduceat``) keeps the path functional, but it never beats
+OpenBLAS dense GEMM on this engine's shapes, so ``auto`` mode disables
+dispatch when scipy is missing; the fallback exists for ``force`` mode
+(tests, correctness bounds) and for environments that strip scipy.
 
 Dispatch policy
 ---------------
@@ -45,16 +47,12 @@ values in place through some other route must call :func:`invalidate`.
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import os
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import scipy.sparse as _scipy_sparse
-except Exception:  # pragma: no cover - scipy is a declared dependency
-    _scipy_sparse = None
 
 __all__ = [
     "SparsePolicy",
@@ -87,10 +85,13 @@ DEFAULT_MIN_SIZE = 32768
 #: multiplies amortise the CSR row walk poorly.
 DEFAULT_MIN_COLS = 32
 
+#: Whether scipy is installed, read without importing it.
+_SCIPY_INSTALLED = importlib.util.find_spec("scipy") is not None
+
 
 def sparse_backend() -> str:
     """Name of the active sparse kernel backend: ``scipy`` or ``numpy``."""
-    return "scipy" if _scipy_sparse is not None else "numpy"
+    return "scipy" if _SCIPY_INSTALLED else "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +123,7 @@ def _policy_from_env() -> SparsePolicy:
     mode = os.environ.get("REPRO_SPARSE", "auto").strip().lower()
     mode = {"0": "off", "1": "auto", "": "auto"}.get(mode, mode)
     threshold = float(os.environ.get("REPRO_SPARSE_THRESHOLD", DEFAULT_THRESHOLD))
-    if mode == "auto" and _scipy_sparse is None:
+    if mode == "auto" and not _SCIPY_INSTALLED:
         # The numpy fallback kernel loses to BLAS at every sparsity this
         # engine produces, so without scipy nothing qualifies "auto".
         mode = "off"
@@ -207,8 +208,10 @@ class _CsrKernel:
         self.shape = matrix.shape
         self.dtype = matrix.dtype
         self.nnz = nnz
-        if _scipy_sparse is not None:
-            self._scipy = _scipy_sparse.csr_array(matrix)
+        if _SCIPY_INSTALLED:
+            import scipy.sparse
+
+            self._scipy = scipy.sparse.csr_array(matrix)
             self._triplet = None
         else:
             self._scipy = None

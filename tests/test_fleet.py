@@ -367,6 +367,16 @@ class TestFailover:
             # Surviving-shard failover lands every orphan on its first
             # re-dispatch: re-routed exactly once, never ping-ponged.
             assert stats["reroutes_max"] == 1
+            # Every incarnation that said hello timed its boot: the first
+            # boots and each restart, read once no respawn is in flight.
+            deadline = time.monotonic() + 60.0
+            while any(s["state"] in ("starting", "dead") for s in pool.shard_states()):
+                assert time.monotonic() < deadline, pool.shard_states()
+                time.sleep(0.05)
+            by_name = {entry["name"]: entry for entry in pool.metrics_snapshot()["instruments"]}
+            restarts = by_name["fleet_shard_restarts_total"]["value"]
+            assert restarts >= 1
+            assert by_name["fleet_shard_boot_s"]["count"] == config.shards + restarts
 
     def test_corrupt_reply_fails_over_instead_of_serving_garbage(
         self, sealed, images, expected

@@ -93,7 +93,7 @@ class TestCsrKernels:
         assert np.allclose(kernel.matmul(dense), weight @ dense)
 
     def test_numpy_fallback_backend(self, rng, monkeypatch):
-        monkeypatch.setattr(sparse, "_scipy_sparse", None)
+        monkeypatch.setattr(sparse, "_SCIPY_INSTALLED", False)
         assert sparse.sparse_backend() == "numpy"
         weight = sparse_matrix(rng, (24, 40), 0.95)
         dense = rng.normal(size=(40, 33))
@@ -122,7 +122,7 @@ class TestPolicy:
 
     def test_auto_degrades_to_off_without_scipy(self, monkeypatch):
         monkeypatch.delenv("REPRO_SPARSE", raising=False)
-        monkeypatch.setattr(sparse, "_scipy_sparse", None)
+        monkeypatch.setattr(sparse, "_SCIPY_INSTALLED", False)
         assert sparse._policy_from_env().mode == "off"
 
     def test_policy_scope_restores(self):
