@@ -100,6 +100,9 @@ def input_only_backward(model: Module) -> Iterator[None]:
     An attack needs the gradient of the loss with respect to its input
     alone.  With the parameters frozen, the backward closures skip
     their weight and bias work, and no parameter ``.grad`` is written.
+    The graph an attack records keeps no im2col columns either: a
+    convolution keeps them only for a weight that needs a gradient when
+    the forward runs.
     Recording stays on, so the convolutions and matmuls keep the dense
     GEMM a training step runs (the CSR kernels serve frozen weights
     only under ``no_grad``) and the input gradient is the same to the

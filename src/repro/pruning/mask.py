@@ -189,17 +189,18 @@ class PruningMask:
             _sparse.invalidate(parameter.data)
 
     def apply_to_gradients(self, model: Module) -> None:
-        """Zero out gradients of masked weights (keeps pruned weights at zero)."""
+        """Zero out gradients of masked weights (keeps pruned weights at zero).
+
+        Masks in place: backward stores every parameter's gradient as
+        an array of its own (:meth:`repro.tensor.Tensor._accumulate`).
+        """
         parameters = dict(model.named_parameters())
         for name, mask in self._masks.items():
             if name in self._all_ones:
                 continue
             parameter = parameters.get(name)
             if parameter is not None and parameter.grad is not None:
-                if parameter.grad.flags.writeable:
-                    np.multiply(parameter.grad, mask, out=parameter.grad)
-                else:
-                    parameter.grad = parameter.grad * mask
+                np.multiply(parameter.grad, mask, out=parameter.grad)
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -70,6 +70,9 @@ SHARD_STATES = ("starting", "live", "dead", "failed")
 
 #: How long a spawned worker may take to warm-load and say hello.
 SPAWN_TIMEOUT_S = 120.0
+#: How often a spawn waiting for its hello checks that the worker still
+#: runs (the hello itself ends the wait at once).
+_SPAWN_POLL_S = 0.05
 #: Default deadline a blocking predict waits for its reply.
 REQUEST_TIMEOUT_S = 120.0
 #: Restart backoff ceiling.
@@ -303,6 +306,20 @@ class _SpawnWaiter:
         self.conn: Optional[socket.socket] = None
         self.loaded: Tuple[str, ...] = ()
 
+    def await_hello(self, process) -> bool:
+        """Wait until ``process`` says hello, exits, or :data:`SPAWN_TIMEOUT_S` passes.
+
+        Returns whether it said hello.  A worker that dies while it
+        loads (say, an artifact whose weights fail to load) ends the
+        wait at once, for a first boot and every restart alike, instead
+        of holding the spawn for the whole timeout.
+        """
+        deadline = time.monotonic() + SPAWN_TIMEOUT_S
+        while not self.event.wait(_SPAWN_POLL_S):
+            if not process.is_alive() or time.monotonic() >= deadline:
+                return False
+        return self.conn is not None
+
 
 class _ControlWaiter:
     """One in-flight control round-trip (``metrics``/``load``/``evict``)."""
@@ -469,7 +486,7 @@ class FleetSupervisor:
         started = time.monotonic()
         try:
             process.start()
-            booted = waiter.event.wait(SPAWN_TIMEOUT_S) and waiter.conn is not None
+            booted = waiter.await_hello(process)
         except BaseException:
             booted = False
         with self._lock:

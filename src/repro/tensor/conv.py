@@ -205,12 +205,20 @@ def conv2d(
     out_data = output.reshape(out_channels, batch, out_h, out_w).transpose(1, 0, 2, 3)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    # Only the weight gradient reads the columns.  An attack graph, whose
+    # weights ``input_only_backward`` freezes, keeps none of them.
+    weight_columns_t = columns_t if weight.requires_grad else None
 
     def backward_fn(grad: np.ndarray) -> None:
         # grad: (N, C_out, out_h, out_w) -> (C_out, N*out_h*out_w)
         grad_matrix = grad.transpose(1, 0, 2, 3).reshape(out_channels, -1)
         if weight.requires_grad:
-            grad_weight = grad_matrix @ columns_t.T
+            if weight_columns_t is None:
+                raise RuntimeError(
+                    "conv2d: the weight needs a gradient, but it was frozen when the "
+                    "forward was recorded, so its im2col columns were not kept"
+                )
+            grad_weight = grad_matrix @ weight_columns_t.T
             weight._accumulate(grad_weight.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_matrix.sum(axis=1))

@@ -5,7 +5,10 @@ least one tensor requiring gradients produces a new :class:`Tensor`
 holding references to its parents and a closure that, given the output
 gradient, accumulates gradients into the parents.  Calling
 :meth:`Tensor.backward` topologically sorts the recorded graph and runs
-the closures in reverse order.
+the closures in reverse order, freeing the tape as it walks it: once a
+node's closure has run, the node drops its gradient, its closure and
+its parent links, so the activations and im2col columns only backward
+needed go with them.  A graph can therefore be differentiated once.
 
 Only the operations needed by the reproduction are implemented, but
 each supports full numpy broadcasting with correct gradient reduction.
@@ -190,11 +193,24 @@ class Tensor:
         )
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Accumulate ``grad`` into this tensor's ``.grad`` buffer."""
+        """Accumulate ``grad`` into this tensor's ``.grad`` buffer.
+
+        A leaf (a tensor no op produced, such as a parameter) stores its
+        first gradient as its own array.  The array a closure hands over
+        may be shared: ``a + b`` gives both operands the same one.  A
+        leaf's gradient outlives backward and is updated in place
+        (:meth:`repro.pruning.PruningMask.apply_to_gradients`), so a
+        shared array would carry one leaf's update into another's.  An
+        interior node's gradient is released as soon as its closure has
+        run, so it may share; only views and read-only arrays are copied
+        there.
+        """
         grad = np.asarray(grad, dtype=self.data.dtype if self.data.dtype.kind == "f" else default_dtype())
         _sanitize.check_gradient(grad, self._op or "leaf")
         if self.grad is None:
-            self.grad = grad.copy() if grad.base is not None or grad.flags.writeable is False else grad
+            if not self._op or grad.base is not None or not grad.flags.writeable:
+                grad = grad.copy()
+            self.grad = grad
         else:
             self.grad = self.grad + grad
 
@@ -203,6 +219,16 @@ class Tensor:
     # ------------------------------------------------------------------
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Run reverse-mode differentiation from this tensor.
+
+        The closures run in reverse topological order, so a node's
+        gradient is complete when its closure runs.  The node hands its
+        ``.grad``, its closure and its parent links over to that run, so
+        whatever only backward needed (activations, im2col columns,
+        interior gradients) is freed while the walk goes on, not when
+        the caller drops the loss.  Leaves keep their ``.grad``.  A graph
+        is differentiated once: a later backward that reaches a released
+        node raises ``RuntimeError`` naming its op, instead of silently
+        losing the gradients behind it.
 
         Parameters
         ----------
@@ -234,16 +260,28 @@ class Tensor:
             if node_id in visited:
                 continue
             visited.add(node_id)
+            if node._op and node._backward_fn is None:
+                raise RuntimeError(
+                    f"backward() reached a {node._op!r} node that an earlier backward "
+                    "already released: a graph can be differentiated once"
+                )
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward_fn is None or node.grad is None:
-                continue
-            node._backward_fn(node.grad)
+        # Popping drops the walk's own reference to each node, so a node
+        # nothing else holds is freed, activation included, once its
+        # closure has run.
+        while topo:
+            node = topo.pop()
+            backward_fn, node_grad = node._backward_fn, node.grad
+            if backward_fn is None:
+                continue  # a leaf keeps its gradient
+            node._backward_fn, node._parents, node.grad = None, (), None
+            if node_grad is not None:
+                backward_fn(node_grad)
 
     # ------------------------------------------------------------------
     # Arithmetic

@@ -22,6 +22,7 @@ import os
 import socket
 import threading
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -481,6 +482,20 @@ class TestFailover:
                 http.close()
                 server.shutdown()
                 server.server_close()
+
+    def test_shard_that_dies_before_its_hello_fails_the_boot_at_once(self, sealed, tmp_path):
+        # The header and masks still pass ``read_artifact_meta``, but the
+        # worker's load fails on the missing weight and it exits at once.
+        # The spawn must end there, not after the whole spawn timeout.
+        broken = str(tmp_path / "broken.npz")
+        with zipfile.ZipFile(sealed) as source, zipfile.ZipFile(broken, "w") as target:
+            for member in source.infolist():
+                if member.filename != "state./backbone.conv1.weight.npy":
+                    target.writestr(member, source.read(member))
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="no shard survived boot"):
+            FleetSupervisor({"ticket": broken}, FleetConfig(shards=1))
+        assert time.monotonic() - started < 30.0
 
     def test_close_during_load_never_hangs_a_caller(self, sealed, images):
         config = FleetConfig(shards=2, chaos="delay-response:shard=*,ms=300")

@@ -1,4 +1,4 @@
-"""Unit tests for the core autograd engine (arithmetic, reductions, shapes).
+"""Unit tests for the core autograd engine (arithmetic, reductions, shapes, the tape).
 
 Gradient checks are parametrised over the engine's two supported compute
 dtypes (see the ``grad_dtype`` fixture): ``float64`` verifies the
@@ -7,10 +7,17 @@ default single-precision path computes the same gradients to within its
 numerical noise floor.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, default_dtype, no_grad, is_grad_enabled, as_tensor
+from repro.attacks.pgd import PGDConfig, input_only_backward, pgd_attack
+from repro.models.heads import ClassifierHead
+from repro.models.resnet import resnet18
+from repro.nn import Conv2d, Module, Parameter
+from repro.pruning import PruningMask
+from repro.tensor import Tensor, default_dtype, no_grad, is_grad_enabled, as_tensor, cross_entropy
 
 from tests.helpers import check_gradient
 
@@ -234,3 +241,138 @@ class TestComparisons:
         np.testing.assert_array_equal(a <= 2.0, [True, True, False])
         np.testing.assert_array_equal(a >= 3.0, [False, False, True])
         np.testing.assert_array_equal(a < 2.0, [True, False, False])
+
+
+class TestTape:
+    """Backward frees the tape as it walks it; a graph is differentiated once."""
+
+    def test_backward_releases_interior_nodes_and_leaves_keep_gradients(self, rng):
+        weight = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        inputs = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        hidden = inputs @ weight
+        activated = hidden.exp()
+        loss = activated.sum()
+        loss.backward()
+        for node in (hidden, activated, loss):
+            assert node.grad is None
+            assert node._backward_fn is None
+            assert node._parents == ()
+        np.testing.assert_allclose(weight.grad, inputs.data.T @ np.exp(hidden.data))
+        assert inputs.grad.shape == inputs.shape
+
+    def test_second_backward_raises_naming_the_op(self, rng):
+        tensor = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        loss = (tensor * tensor).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="'sum' node.*differentiated once"):
+            loss.backward()
+
+    def test_backward_through_a_released_interior_node_raises(self, rng):
+        tensor = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        hidden = tensor.exp()
+        hidden.sum().backward()
+        first = tensor.grad.copy()
+        with pytest.raises(RuntimeError, match="'exp' node.*differentiated once"):
+            (hidden * 2.0).sum().backward()
+        # The walk raised before any closure ran.
+        np.testing.assert_array_equal(tensor.grad, first)
+
+    def test_leaves_never_share_a_gradient_array(self):
+        class Pair(Module):
+            def __init__(self):
+                super().__init__()
+                self.a = Parameter(np.ones(4))
+                self.b = Parameter(np.ones(4))
+
+            def forward(self):
+                return self.a + self.b
+
+        model = Pair()
+        model().sum().backward()
+        assert model.a.grad is not model.b.grad
+        mask = PruningMask({"a": np.array([1, 0, 1, 0], dtype=np.uint8)})
+        mask.apply_to_gradients(model)
+        np.testing.assert_array_equal(model.a.grad, [1.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(model.b.grad, np.ones(4))
+
+    @staticmethod
+    def _columns_kept(out) -> bool:
+        """Whether the closure of ``out``, a 3x3 conv of 2x3x6x6 inputs, holds its im2col columns."""
+        columns_shape = (3 * 3 * 3, 2 * 6 * 6)  # (C_in * kh * kw, N * out_h * out_w)
+        return any(
+            isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.shape == columns_shape
+            for cell in out._backward_fn.__closure__
+        )
+
+    def test_attack_graph_keeps_no_conv_columns(self, rng):
+        conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+        inputs = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        assert self._columns_kept(conv(inputs))
+        with input_only_backward(conv):
+            out = conv(inputs)
+            assert not self._columns_kept(out)
+            out.sum().backward()
+        assert inputs.grad is not None and conv.weight.grad is None
+
+    def test_weight_frozen_at_record_time_raises_instead_of_a_wrong_gradient(self, rng):
+        conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+        inputs = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        with input_only_backward(conv):
+            out = conv(inputs)
+        assert conv.weight.requires_grad
+        with pytest.raises(RuntimeError, match="columns were not kept"):
+            out.sum().backward()
+
+
+def _traced(run):
+    """``run()``'s result, and the bytes held when it returns and at its peak, above the level before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - before, peak - before
+
+
+class TestTapeMemory:
+    """Allocated bytes (``tracemalloc``), which do not depend on the host."""
+
+    @pytest.fixture
+    def resnet_batch(self):
+        model = ClassifierHead(resnet18(base_width=4, seed=0), num_classes=10, seed=1)
+        data = np.random.default_rng(0)
+        images = data.uniform(size=(16, 3, 16, 16))
+        labels = data.integers(0, 10, size=16)
+        return model, images, labels
+
+    @staticmethod
+    def _train_step(model, images, labels):
+        model.train()
+        loss = cross_entropy(model(Tensor(images)), labels)
+        loss.backward()
+        return loss  # held, as a training loop holds it into its next step
+
+    def test_train_step_returns_memory_to_its_level_before_the_forward(self, resnet_batch):
+        model, images, labels = resnet_batch
+        self._train_step(model, images, labels)  # warm the memoised window plans
+        model.zero_grad()
+        loss, held, peak = _traced(lambda: self._train_step(model, images, labels))
+        gradients = sum(parameter.grad.nbytes for parameter in model.parameters())
+        # What stays is the parameter gradients; the graph is gone.
+        assert held - gradients < 0.05 * peak, (held, gradients, peak)
+        assert np.isfinite(loss.item())
+
+    def test_pgd_attack_peaks_below_one_train_step(self, resnet_batch):
+        model, images, labels = resnet_batch
+        self._train_step(model, images, labels)
+        model.zero_grad()
+        _, _, train_peak = _traced(lambda: self._train_step(model, images, labels))
+        model.zero_grad()
+        model.eval()
+        config = PGDConfig(epsilon=0.03, steps=4)
+        _, _, attack_peak = _traced(
+            lambda: pgd_attack(model, images, labels, config, rng=np.random.default_rng(1))
+        )
+        assert attack_peak < 0.6 * train_peak, (attack_peak, train_peak)
