@@ -26,8 +26,9 @@ import pytest
 
 from repro.core.cache import CACHE_ENV_VAR, default_cache_root
 from repro.core.parallel import default_workers
-from repro.experiments import ExperimentScale, ResultTable, shared_context
-from repro.experiments.config import SMOKE
+from repro.experiments.config import SMOKE, ExperimentScale
+from repro.experiments.context import shared_context
+from repro.experiments.results import ResultTable
 from repro.tensor import dtypes
 
 os.environ.setdefault(CACHE_ENV_VAR, default_cache_root())

@@ -11,11 +11,14 @@ full-suite-only ResNet-50 training step must still run.
 
 import numpy as np
 
-from repro.bench import best_wall, calibrate, get_bench, measure
+from repro.bench.calibrate import calibrate
+from repro.bench.harness import measure
+from repro.bench.spec import get_bench
 from repro.models.heads import ClassifierHead
 from repro.models.resnet import resnet18
 from repro.nn.fuse import fuse
 from repro.tensor import Tensor, default_dtype, no_grad
+from repro.utils.timing import best_wall
 
 
 def test_resnet50_train_step_throughput():

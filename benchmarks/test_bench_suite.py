@@ -12,7 +12,9 @@ too noisy for pass/fail wall-times inside a shared pytest session.
 
 import pytest
 
-from repro.bench import artifact_results, calibrate, measure, run_suite, suite_benchmarks
+from repro.bench.calibrate import calibrate
+from repro.bench.harness import artifact_results, measure, run_suite
+from repro.bench.spec import suite_benchmarks
 
 
 @pytest.fixture(scope="module")

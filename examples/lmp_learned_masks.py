@@ -10,12 +10,11 @@ measure of how much task-specific information the learned mask encodes.
 Run with:  python examples/lmp_learned_masks.py
 """
 
-from repro.core import PipelineConfig, RobustTicketPipeline
-from repro.data import downstream_task
+from repro.core.pipeline import PipelineConfig, RobustTicketPipeline
+from repro.data.tasks import downstream_task
 from repro.experiments.results import ResultTable
 from repro.models.heads import ClassifierHead
-from repro.pruning import attach_learnable_masks, learn_mask
-from repro.pruning.lmp import LMPConfig
+from repro.pruning.lmp import LMPConfig, attach_learnable_masks, learn_mask
 
 
 def learn_task_mask(pipeline, prior, sparsity, task):

@@ -12,8 +12,8 @@ Run with:  python examples/quickstart.py
 (takes a couple of minutes on a laptop CPU)
 """
 
-from repro.core import PipelineConfig, RobustTicketPipeline
-from repro.data import downstream_task
+from repro.core.pipeline import PipelineConfig, RobustTicketPipeline
+from repro.data.tasks import downstream_task
 from repro.training.trainer import TrainerConfig
 
 

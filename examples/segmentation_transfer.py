@@ -7,8 +7,8 @@ synthetic segmentation task, scored with mean IoU.
 Run with:  python examples/segmentation_transfer.py
 """
 
-from repro.core import PipelineConfig, RobustTicketPipeline
-from repro.data import segmentation_task
+from repro.core.pipeline import PipelineConfig, RobustTicketPipeline
+from repro.data.segmentation import segmentation_task
 from repro.experiments.results import ResultTable
 from repro.training.trainer import TrainerConfig
 

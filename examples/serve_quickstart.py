@@ -23,9 +23,11 @@ The same artifact serves over HTTP with:
 
 import numpy as np
 
-from repro.core import PipelineConfig, RobustTicketPipeline, linear_evaluation
-from repro.data import downstream_task
-from repro.serve import EngineConfig, ServingEngine, export_artifact, load_artifact
+from repro.core.pipeline import PipelineConfig, RobustTicketPipeline
+from repro.core.transfer import linear_evaluation
+from repro.data.tasks import downstream_task
+from repro.serve.artifact import export_artifact, load_artifact
+from repro.serve.engine import EngineConfig, ServingEngine
 
 
 def main() -> None:

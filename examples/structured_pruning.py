@@ -8,8 +8,8 @@ how much of the robustness-prior advantage survives coarser patterns.
 Run with:  python examples/structured_pruning.py
 """
 
-from repro.core import PipelineConfig, RobustTicketPipeline
-from repro.data import downstream_task
+from repro.core.pipeline import PipelineConfig, RobustTicketPipeline
+from repro.data.tasks import downstream_task
 from repro.experiments.results import ResultTable
 from repro.pruning.granularity import GRANULARITIES
 from repro.training.trainer import TrainerConfig

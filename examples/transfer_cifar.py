@@ -7,8 +7,8 @@ printing one table per transfer mode.
 Run with:  python examples/transfer_cifar.py
 """
 
-from repro.core import PipelineConfig, RobustTicketPipeline
-from repro.data import downstream_task
+from repro.core.pipeline import PipelineConfig, RobustTicketPipeline
+from repro.data.tasks import downstream_task
 from repro.experiments.results import ResultTable
 from repro.training.trainer import TrainerConfig
 

@@ -8,10 +8,10 @@ that robust tickets win exactly where the domain gap (FID) is large.
 Run with:  python examples/vtab_domain_gap.py
 """
 
-from repro.core import PipelineConfig, RobustTicketPipeline
-from repro.data import downstream_task
+from repro.core.pipeline import PipelineConfig, RobustTicketPipeline
+from repro.data.tasks import downstream_task
 from repro.experiments.results import ResultTable
-from repro.metrics import RandomFeatureEmbedder, fid_between_datasets
+from repro.metrics.fid import RandomFeatureEmbedder, fid_between_datasets
 
 #: A spread of tasks from very dissimilar to very similar to the source.
 TASKS = ("cifar10", "pets", "food", "sun397", "caltech256")

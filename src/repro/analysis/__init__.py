@@ -11,49 +11,13 @@ Three pillars, one package:
   shape/dtype inference over :class:`~repro.nn.module.Module` trees,
   proving shape compatibility, BN channel agreement, and mask/weight
   shape matches without running a forward pass.  ``repro.serve`` runs
-  :func:`check_model` before sealing an artifact.
-* **Runtime sanitizer** (:mod:`repro.analysis.sanitize`, implemented in
-  :mod:`repro.tensor.sanitize`): ``REPRO_SANITIZE=1`` or
-  :func:`sanitize_scope` instruments every tensor op and module forward
-  to raise on NaN/Inf, naming the offending op and layer.
+  :func:`~repro.analysis.graph.check_model` before sealing an artifact.
+* **Runtime sanitizer** (:mod:`repro.tensor.sanitize`):
+  ``REPRO_SANITIZE=1`` or :func:`~repro.tensor.sanitize.sanitize_scope`
+  instruments every tensor op and module forward to raise on NaN/Inf,
+  naming the offending op and layer.
 
 Findings serialise as ``repro-analysis/v1`` JSON
 (:mod:`repro.analysis.findings`); single lines are suppressed with
 ``# repro: ignore[rule-id] -- reason`` (reason mandatory).
 """
-
-from repro.analysis.engine import lint_paths, lint_source
-from repro.analysis.findings import (
-    ANALYSIS_FORMAT,
-    Finding,
-    dump_report,
-    load_report,
-    report_dict,
-)
-from repro.analysis.graph import GraphCheckError, check_model, register_handler
-from repro.analysis.rules import ALL_RULES, rule_ids
-from repro.analysis.sanitize import (
-    SanitizeError,
-    is_sanitize_active,
-    sanitize_scope,
-    set_sanitize,
-)
-
-__all__ = [
-    "ANALYSIS_FORMAT",
-    "ALL_RULES",
-    "Finding",
-    "GraphCheckError",
-    "SanitizeError",
-    "check_model",
-    "dump_report",
-    "is_sanitize_active",
-    "lint_paths",
-    "lint_source",
-    "load_report",
-    "register_handler",
-    "report_dict",
-    "rule_ids",
-    "sanitize_scope",
-    "set_sanitize",
-]

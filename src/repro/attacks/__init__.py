@@ -8,23 +8,3 @@
   (Cohen et al., 2019), the alternative robust pretraining scheme used
   in Fig. 6 of the paper.
 """
-
-from repro.attacks.fgsm import fgsm_attack
-from repro.attacks.pgd import pgd_attack, PGDConfig
-from repro.attacks.square import square_attack, SquareAttackConfig
-from repro.attacks.smoothing import (
-    RandomizedSmoothing,
-    certified_accuracy_curve,
-    gaussian_augment,
-)
-
-__all__ = [
-    "fgsm_attack",
-    "pgd_attack",
-    "PGDConfig",
-    "square_attack",
-    "SquareAttackConfig",
-    "RandomizedSmoothing",
-    "certified_accuracy_curve",
-    "gaussian_augment",
-]

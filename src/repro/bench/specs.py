@@ -1,7 +1,7 @@
 """The registered benchmark table: every hot path as a declarative spec.
 
 Importing this module populates :data:`repro.bench.spec.BENCHMARKS`
-(the registry imports it lazily, so ``from repro.bench import
+(the registry imports it lazily, so ``from repro.bench.spec import
 available_benchmarks`` is enough to see the table).  Payload sizes are
 deliberately small: the ``smoke`` suite is a CI gate that must finish
 in seconds, and regressions in these paths are algorithmic (a lost

@@ -14,31 +14,3 @@ The central object is the :class:`~repro.core.pipeline.RobustTicketPipeline`:
 "Robust tickets" and "natural tickets" differ only in the pretraining
 scheme of step 1, which is exactly the comparison the paper makes.
 """
-
-from repro.core.cache import SweepCache, default_cache_root
-from repro.core.parallel import SweepRunner, default_workers
-from repro.core.tickets import Ticket
-from repro.core.transfer import (
-    TransferResult,
-    finetune_classification,
-    linear_evaluation,
-    finetune_segmentation,
-)
-from repro.core.pipeline import PipelineConfig, RobustTicketPipeline
-from repro.core.evaluate import PropertyReport, evaluate_properties
-
-__all__ = [
-    "SweepCache",
-    "default_cache_root",
-    "SweepRunner",
-    "default_workers",
-    "Ticket",
-    "TransferResult",
-    "finetune_classification",
-    "linear_evaluation",
-    "finetune_segmentation",
-    "PipelineConfig",
-    "RobustTicketPipeline",
-    "PropertyReport",
-    "evaluate_properties",
-]

@@ -17,33 +17,3 @@ replaced by a procedurally generated equivalent:
   corruptions, and out-of-distribution inputs used by the remaining
   experiments.
 """
-
-from repro.data.dataset import ArrayDataset, DataLoader
-from repro.data.synthetic import SyntheticImageGenerator, GeneratorConfig
-from repro.data.tasks import (
-    TaskSpec,
-    source_task,
-    downstream_task,
-    vtab_suite,
-    available_downstream_tasks,
-)
-from repro.data.segmentation import SegmentationTask, segmentation_task
-from repro.data.corruptions import corrupt, available_corruptions
-from repro.data.ood import ood_dataset
-
-__all__ = [
-    "ArrayDataset",
-    "DataLoader",
-    "SyntheticImageGenerator",
-    "GeneratorConfig",
-    "TaskSpec",
-    "source_task",
-    "downstream_task",
-    "vtab_suite",
-    "available_downstream_tasks",
-    "SegmentationTask",
-    "segmentation_task",
-    "corrupt",
-    "available_corruptions",
-    "ood_dataset",
-]

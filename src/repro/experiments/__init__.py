@@ -11,35 +11,3 @@ paper-vs-measured comparison.
 ``smoke`` (default, minutes on CPU) and ``paper`` (closer to the paper's
 grids, hours).
 """
-
-from repro.experiments.config import ExperimentScale, SMOKE, PAPER, get_scale
-from repro.experiments.results import ResultTable
-from repro.experiments.context import (
-    ExperimentContext,
-    shared_context,
-    shared_context_scope,
-)
-from repro.experiments.spec import ExperimentSpec, GridPlan
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    available_experiments,
-    get_spec,
-    run_experiment,
-)
-
-__all__ = [
-    "ExperimentScale",
-    "SMOKE",
-    "PAPER",
-    "get_scale",
-    "ResultTable",
-    "ExperimentContext",
-    "shared_context",
-    "shared_context_scope",
-    "ExperimentSpec",
-    "GridPlan",
-    "EXPERIMENTS",
-    "get_spec",
-    "run_experiment",
-    "available_experiments",
-]

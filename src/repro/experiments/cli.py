@@ -147,7 +147,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.export_model:
         # Fail before the sweep, not after: sealability is a property of
         # the experiment's declared row schema.
-        from repro.serve.export import sealable_columns_missing
+        from repro.experiments.export import sealable_columns_missing
 
         missing = sealable_columns_missing(get_spec(args.experiment).columns)
         if missing:
@@ -178,7 +178,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.export_model:
         # Imported lazily: serving is optional for plain sweep runs.
         from repro.experiments.context import shared_context
-        from repro.serve.export import export_best
+        from repro.experiments.export import export_best
 
         scale = get_scale(args.scale)
         try:

@@ -8,30 +8,3 @@
 * domain gap: Fréchet Inception Distance (FID) computed on features of a
   fixed random convolutional embedder.
 """
-
-from repro.metrics.classification import (
-    accuracy,
-    top_k_accuracy,
-    expected_calibration_error,
-    negative_log_likelihood,
-    softmax_probabilities,
-)
-from repro.metrics.ood import roc_auc, max_softmax_score, ood_roc_auc
-from repro.metrics.segmentation import mean_iou, confusion_matrix
-from repro.metrics.fid import frechet_distance, fid_between_datasets, RandomFeatureEmbedder
-
-__all__ = [
-    "accuracy",
-    "top_k_accuracy",
-    "expected_calibration_error",
-    "negative_log_likelihood",
-    "softmax_probabilities",
-    "roc_auc",
-    "max_softmax_score",
-    "ood_roc_auc",
-    "mean_iou",
-    "confusion_matrix",
-    "frechet_distance",
-    "fid_between_datasets",
-    "RandomFeatureEmbedder",
-]

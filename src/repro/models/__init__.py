@@ -6,30 +6,3 @@ stages, batch norm, global average pooling) with a configurable base
 width so the default instantiations are small enough to pretrain and
 finetune on CPU within the benchmark harness.
 """
-
-from repro.models.resnet import (
-    BasicBlock,
-    Bottleneck,
-    ResNet,
-    resnet18,
-    resnet50,
-    ResNetConfig,
-)
-from repro.models.heads import ClassifierHead, LinearProbe, FCNSegmentationHead, SegmentationModel
-from repro.models.registry import build_model, register_model, available_models
-
-__all__ = [
-    "BasicBlock",
-    "Bottleneck",
-    "ResNet",
-    "ResNetConfig",
-    "resnet18",
-    "resnet50",
-    "ClassifierHead",
-    "LinearProbe",
-    "FCNSegmentationHead",
-    "SegmentationModel",
-    "build_model",
-    "register_model",
-    "available_models",
-]

@@ -5,37 +5,3 @@ children, snapshots), :mod:`repro.obs.export` for the ``/metrics``
 renderings, and :mod:`repro.obs.docgen` for the committed metrics
 reference.  ``python -m repro.obs doc`` regenerates ``docs/METRICS.md``.
 """
-
-from repro.obs.export import PROMETHEUS_CONTENT_TYPE, render_json, render_prometheus
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS_S,
-    METRICS_ENV_VAR,
-    METRICS_FORMAT,
-    Counter,
-    Gauge,
-    Histogram,
-    InstrumentFamily,
-    MetricsRegistry,
-    default_registry,
-    merge_snapshots,
-    metrics_enabled,
-    percentiles_from_buckets,
-)
-
-__all__ = [
-    "DEFAULT_LATENCY_BUCKETS_S",
-    "METRICS_ENV_VAR",
-    "METRICS_FORMAT",
-    "PROMETHEUS_CONTENT_TYPE",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "InstrumentFamily",
-    "MetricsRegistry",
-    "default_registry",
-    "merge_snapshots",
-    "metrics_enabled",
-    "percentiles_from_buckets",
-    "render_json",
-    "render_prometheus",
-]

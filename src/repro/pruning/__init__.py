@@ -16,61 +16,3 @@ Masks are represented by :class:`repro.pruning.mask.PruningMask`, a
 name-indexed collection of binary arrays that can be applied to any
 model with the same architecture.
 """
-
-from repro.pruning.mask import (
-    PruningMask,
-    prunable_parameter_names,
-    magnitude_mask,
-    apply_mask,
-    mask_gradients,
-)
-from repro.pruning.compact import (
-    BlockCompaction,
-    CompactionReport,
-    compact,
-    conform_to_state,
-)
-from repro.pruning.granularity import (
-    GRANULARITIES,
-    group_reduce_scores,
-    expand_group_mask,
-)
-from repro.pruning.omp import one_shot_magnitude_prune
-from repro.pruning.random_mask import random_mask
-from repro.pruning.imp import IMPConfig, iterative_magnitude_prune
-from repro.pruning.lmp import (
-    LMPConfig,
-    MaskedConv2d,
-    MaskedLinear,
-    attach_learnable_masks,
-    extract_learned_mask,
-    learn_mask,
-)
-from repro.pruning.schedules import geometric_sparsity_schedule, linear_sparsity_schedule
-
-__all__ = [
-    "PruningMask",
-    "prunable_parameter_names",
-    "magnitude_mask",
-    "apply_mask",
-    "mask_gradients",
-    "BlockCompaction",
-    "CompactionReport",
-    "compact",
-    "conform_to_state",
-    "GRANULARITIES",
-    "group_reduce_scores",
-    "expand_group_mask",
-    "one_shot_magnitude_prune",
-    "random_mask",
-    "IMPConfig",
-    "iterative_magnitude_prune",
-    "LMPConfig",
-    "MaskedConv2d",
-    "MaskedLinear",
-    "attach_learnable_masks",
-    "extract_learned_mask",
-    "learn_mask",
-    "geometric_sparsity_schedule",
-    "linear_sparsity_schedule",
-]

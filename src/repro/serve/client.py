@@ -27,7 +27,7 @@ import threading
 import time
 import urllib.error
 from typing import Callable, List, Optional, Tuple
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit
 
 import numpy as np
 
@@ -41,6 +41,11 @@ from repro.serve.fleet.protocol import (
 )
 
 __all__ = ["HTTPClient", "RetryPolicy", "ServingError"]
+
+
+def _model_route(model: str, action: str) -> str:
+    """``/models/{model}/{action}``, the name percent-encoded as one path segment."""
+    return f"/models/{quote(model, safe='')}/{action}"
 
 
 class RetryPolicy:
@@ -242,11 +247,11 @@ class HTTPClient:
 
     def load(self, model: str) -> dict:
         """POST ``/models/{model}/load``: warm the engine(s) for ``model``."""
-        return self._request(f"/models/{model}/load", {})
+        return self._request(_model_route(model, "load"), {})
 
     def evict(self, model: str) -> dict:
         """POST ``/models/{model}/evict``: drop ``model``'s resident engine(s)."""
-        return self._request(f"/models/{model}/evict", {})
+        return self._request(_model_route(model, "evict"), {})
 
     def set_rate_limit(
         self, model: str, rate_per_s: Optional[float], burst: Optional[int] = None
@@ -255,7 +260,7 @@ class HTTPClient:
         payload: dict = {"rate_per_s": rate_per_s}
         if burst is not None:
             payload["burst"] = burst
-        return self._request(f"/models/{model}/ratelimit", payload)
+        return self._request(_model_route(model, "ratelimit"), payload)
 
     def predict(self, inputs, model: Optional[str] = None) -> np.ndarray:
         """POST ``/predict`` as an array body; logits in the server's dtype.

@@ -21,7 +21,6 @@ without interfering.
 
 from __future__ import annotations
 
-import contextlib
 import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
@@ -32,7 +31,7 @@ from repro.obs.registry import default_registry
 from repro.serve.artifact import ModelArtifact, load_artifact
 from repro.serve.batching import BatchingConfig, MicroBatcher
 from repro.tensor.dtypes import default_dtype_scope
-from repro.tensor.sanitize import SanitizeError, sanitize_scope
+from repro.tensor.sanitize import SanitizeError
 from repro.training.evaluation import predict_logits
 
 __all__ = ["EngineConfig", "ServingEngine"]
@@ -75,11 +74,6 @@ class EngineConfig:
     #: The fleet worker and the HTTP frontend turn that rejection into
     #: a retryable ``saturated`` / ``503`` signal.
     max_queue: int = 0
-    #: Run the numeric sanitizer on the scheduler thread: every serving
-    #: forward raises (and the error is delivered to the waiting caller)
-    #: if it produces NaN/Inf, naming the offending op and layer.  Off
-    #: by default — the checks cost one ``isfinite`` reduction per op.
-    sanitize: bool = False
 
     def batching(self) -> BatchingConfig:
         return BatchingConfig(
@@ -199,13 +193,12 @@ class ServingEngine:
         # thread-local and this method only ever runs on this engine's
         # scheduler thread: the whole forward stays in the sealed
         # precision without perturbing other threads, so engines sealed
-        # under different dtypes serve concurrently.  ``sanitize`` opts
-        # in for this engine's forwards only; without the flag the
-        # ambient setting (REPRO_SANITIZE) still applies — the engine
-        # never vetoes a global sanitize.
-        sanitizing = sanitize_scope() if self.config.sanitize else contextlib.nullcontext()
+        # under different dtypes serve concurrently.  The scheduler
+        # thread sets no sanitizer override, so the process-wide switch
+        # (``REPRO_SANITIZE``, ``set_sanitize``) decides whether its
+        # forwards are checked.
         try:
-            with self._m_forward.time(), default_dtype_scope(self._dtype), sanitizing:
+            with self._m_forward.time(), default_dtype_scope(self._dtype):
                 return predict_logits(self.model, batch, fused=False)
         except SanitizeError:
             self._m_sanitize_faults.inc()

@@ -156,19 +156,28 @@ def batch_norm2d(
     inv_std = (1.0 / np.sqrt(var + eps)).reshape(channel_shape)
     normalised = (x.data - mean.reshape(channel_shape)) * inv_std
     out_data = normalised * weight.data.reshape(channel_shape) + bias.data.reshape(channel_shape)
+    # Only the weight gradient and the training-mode input gradient read
+    # ``normalised``.  An eval-mode attack graph, whose weights
+    # ``input_only_backward`` freezes, keeps none of it.
+    kept_normalised = normalised if training or weight.requires_grad else None
 
     def backward_fn(grad: np.ndarray) -> None:
         axes = (0, 2, 3)
         if weight.requires_grad:
-            weight._accumulate((grad * normalised).sum(axis=axes))
+            if kept_normalised is None:
+                raise RuntimeError(
+                    "batch_norm2d: the weight needs a gradient, but it was frozen when the "
+                    "forward was recorded, so its normalised input was not kept"
+                )
+            weight._accumulate((grad * kept_normalised).sum(axis=axes))
         if bias.requires_grad:
             bias._accumulate(grad.sum(axis=axes))
         if x.requires_grad:
             grad_normalised = grad * weight.data.reshape(channel_shape)
             if training:
                 grad_mean = grad_normalised.mean(axis=axes, keepdims=True)
-                grad_dot = (grad_normalised * normalised).mean(axis=axes, keepdims=True)
-                x._accumulate((grad_normalised - grad_mean - normalised * grad_dot) * inv_std)
+                grad_dot = (grad_normalised * kept_normalised).mean(axis=axes, keepdims=True)
+                x._accumulate((grad_normalised - grad_mean - kept_normalised * grad_dot) * inv_std)
             else:
                 x._accumulate(grad_normalised * inv_std)
 

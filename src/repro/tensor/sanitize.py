@@ -16,10 +16,9 @@ Activation, in increasing precedence:
 * :func:`set_sanitize`, a process-wide switch;
 * :func:`sanitize_scope`, a context manager restoring the previous
   state on exit.  Like the engine's dtype scopes it is
-  **thread-local**: a serving engine can sanitize its scheduler thread
-  without taxing a training loop in the same process (and vice versa —
-  a test can locally disable checks around math that legitimately
-  overflows).
+  **thread-local**: one thread can be sanitized without taxing a
+  training loop in another (and a test can locally disable checks
+  around math that legitimately overflows).
 
 The module-path attribution is maintained by
 :meth:`repro.nn.module.Module.__call__` via :func:`push_layer` /
@@ -27,8 +26,7 @@ The module-path attribution is maintained by
 :meth:`repro.tensor.tensor.Tensor._make` (forward) and
 :meth:`~repro.tensor.tensor.Tensor._accumulate` (backward).  This
 module deliberately imports nothing from the rest of the engine so the
-hot paths can hook into it without import cycles; the public face is
-:mod:`repro.analysis.sanitize`.
+hot paths can hook into it without import cycles.
 """
 
 from __future__ import annotations

@@ -199,7 +199,7 @@ class Tensor:
         first gradient as its own array.  The array a closure hands over
         may be shared: ``a + b`` gives both operands the same one.  A
         leaf's gradient outlives backward and is updated in place
-        (:meth:`repro.pruning.PruningMask.apply_to_gradients`), so a
+        (:meth:`repro.pruning.mask.PruningMask.apply_to_gradients`), so a
         shared array would carry one leaf's update into another's.  An
         interior node's gradient is released as soon as its closure has
         run, so it may share; only views and read-only arrays are copied

@@ -5,34 +5,3 @@ and accept an optional :class:`~repro.pruning.mask.PruningMask`; when a
 mask is supplied the pruned weights are pinned to zero throughout
 training, which is how tickets are finetuned without regrowing.
 """
-
-from repro.training.trainer import Trainer, TrainerConfig
-from repro.training.adversarial import AdversarialTrainer
-from repro.training.free import FreeAdversarialTrainer
-from repro.training.smoothing import GaussianAugmentTrainer
-from repro.training.evaluation import (
-    predict_logits,
-    evaluate_accuracy,
-    evaluate_adversarial_accuracy,
-    evaluate_corruption_accuracy,
-)
-from repro.training.pretrain import (
-    PretrainResult,
-    pretrain_backbone,
-    PRETRAIN_SCHEMES,
-)
-
-__all__ = [
-    "Trainer",
-    "TrainerConfig",
-    "AdversarialTrainer",
-    "FreeAdversarialTrainer",
-    "GaussianAugmentTrainer",
-    "predict_logits",
-    "evaluate_accuracy",
-    "evaluate_adversarial_accuracy",
-    "evaluate_corruption_accuracy",
-    "PretrainResult",
-    "pretrain_backbone",
-    "PRETRAIN_SCHEMES",
-]

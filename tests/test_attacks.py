@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.attacks import (
-    PGDConfig,
+from repro.attacks.fgsm import fgsm_attack
+from repro.attacks.pgd import PGDConfig, pgd_attack
+from repro.attacks.smoothing import (
     RandomizedSmoothing,
+    _binomial_lower_bound,
     certified_accuracy_curve,
-    fgsm_attack,
     gaussian_augment,
-    pgd_attack,
 )
-from repro.attacks.smoothing import _binomial_lower_bound
 from repro.models.heads import ClassifierHead
 from repro.models.resnet import resnet18
 from repro.nn.module import Module

@@ -7,31 +7,33 @@ import time
 
 import pytest
 
-from repro.bench import (
-    ARTIFACT_FORMAT,
-    BENCHMARKS,
-    SUITES,
-    Baseline,
-    BaselineStore,
-    BenchSpec,
-    Calibration,
-    artifact_calibration,
-    artifact_results,
-    available_benchmarks,
-    calibrate,
+from repro.bench import specs as bench_specs
+from repro.bench.baseline import Baseline, BaselineStore
+from repro.bench.calibrate import Calibration, calibrate
+from repro.bench.cli import main as bench_main
+from repro.bench.compare import (
     compare_artifact,
     compare_measurement,
-    get_bench,
     has_regression,
+    render_verdicts,
+)
+from repro.bench.harness import (
+    ARTIFACT_FORMAT,
+    artifact_calibration,
+    artifact_results,
     load_artifact,
     measure,
-    register,
-    render_verdicts,
     run_suite,
+)
+from repro.bench.spec import (
+    BENCHMARKS,
+    SUITES,
+    BenchSpec,
+    available_benchmarks,
+    get_bench,
+    register,
     suite_benchmarks,
 )
-from repro.bench import specs as bench_specs
-from repro.bench.cli import main as bench_main
 from repro.tensor import sparse as tensor_sparse
 from repro.utils.checkpoint import write_json
 

@@ -15,7 +15,8 @@ from repro.analysis.graph import check_model
 from repro.models.heads import ClassifierHead
 from repro.models.registry import available_models, build_model
 from repro.nn.fuse import fuse
-from repro.pruning import compact, conform_to_state, magnitude_mask
+from repro.pruning.compact import compact, conform_to_state
+from repro.pruning.mask import magnitude_mask
 from repro.serve.artifact import export_artifact, load_artifact
 from repro.serve.engine import ServingEngine
 from repro.tensor import sparse_policy_scope

@@ -8,15 +8,10 @@ every code path that the benchmark harness relies on.
 import numpy as np
 import pytest
 
-from repro.core import (
-    PipelineConfig,
-    RobustTicketPipeline,
-    Ticket,
-    evaluate_properties,
-    finetune_classification,
-    finetune_segmentation,
-    linear_evaluation,
-)
+from repro.core.evaluate import evaluate_properties
+from repro.core.pipeline import PipelineConfig, RobustTicketPipeline
+from repro.core.tickets import Ticket
+from repro.core.transfer import finetune_classification, finetune_segmentation, linear_evaluation
 from repro.data.segmentation import segmentation_task
 from repro.data.tasks import downstream_task, source_task
 from repro.pruning.lmp import LMPConfig

@@ -3,21 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.data import (
-    ArrayDataset,
-    DataLoader,
-    GeneratorConfig,
-    SyntheticImageGenerator,
-    available_corruptions,
+from repro.data.corruptions import available_corruptions, corrupt
+from repro.data.dataset import ArrayDataset, DataLoader
+from repro.data.ood import ood_dataset
+from repro.data.segmentation import segmentation_task
+from repro.data.synthetic import GeneratorConfig, SyntheticImageGenerator
+from repro.data.tasks import (
+    VTAB_TASK_NAMES,
     available_downstream_tasks,
-    corrupt,
     downstream_task,
-    ood_dataset,
-    segmentation_task,
     source_task,
     vtab_suite,
 )
-from repro.data.tasks import VTAB_TASK_NAMES
 
 
 class TestArrayDatasetAndLoader:

@@ -8,12 +8,12 @@ suite rather than only by the (much slower) benchmark harness.
 
 import pytest
 
-from repro.experiments import run_experiment
 from repro.experiments.ablations import granularity_gap_ablation
 from repro.experiments.config import ExperimentScale
 from repro.experiments.context import ExperimentContext
 from repro.experiments.fig3_structured import STRUCTURED_GRANULARITIES
 from repro.experiments.fig6_pretraining_schemes import SCHEMES
+from repro.experiments.registry import run_experiment
 from repro.pruning.granularity import GRANULARITIES
 
 

@@ -13,9 +13,10 @@ import os
 import pytest
 
 from repro.core.runstore import RunStore, run_key
-from repro.experiments import EXPERIMENTS, ExperimentSpec, GridPlan, run_experiment
 from repro.experiments.config import ExperimentScale
 from repro.experiments.context import ExperimentContext
+from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.spec import ExperimentSpec, GridPlan
 
 #: Grid overrides keeping each experiment's unit-scale sweep tiny while
 #: still exercising at least two grid points wherever affordable.

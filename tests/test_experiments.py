@@ -3,20 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    EXPERIMENTS,
-    ExperimentContext,
-    PAPER,
-    ResultTable,
-    SMOKE,
-    available_experiments,
-    get_scale,
-    run_experiment,
-    shared_context,
-)
 from repro.experiments import fig9_vtab_fid
 from repro.experiments.ablations import mask_overlap_analysis
-from repro.experiments.config import ExperimentScale
+from repro.experiments.config import PAPER, SMOKE, ExperimentScale, get_scale
+from repro.experiments.context import ExperimentContext, shared_context
+from repro.experiments.registry import EXPERIMENTS, available_experiments, run_experiment
+from repro.experiments.results import ResultTable
 
 
 class TestScales:

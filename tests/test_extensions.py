@@ -5,12 +5,14 @@ random-mask baseline ticket."""
 import numpy as np
 import pytest
 
-from repro.attacks import SquareAttackConfig, square_attack
+from repro.attacks.square import SquareAttackConfig, square_attack
 from repro.models.heads import ClassifierHead
 from repro.models.resnet import resnet18
-from repro.pruning import random_mask
+from repro.pruning.random_mask import random_mask
 from repro.tensor import Tensor, cross_entropy, no_grad
-from repro.training import FreeAdversarialTrainer, Trainer, TrainerConfig, evaluate_accuracy
+from repro.training.evaluation import evaluate_accuracy
+from repro.training.free import FreeAdversarialTrainer
+from repro.training.trainer import Trainer, TrainerConfig
 from repro.utils.seeding import seeded_rng
 
 

@@ -27,25 +27,14 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.analysis import lint_paths
+from repro.analysis.engine import lint_paths
 from repro.core.tickets import Ticket
 from repro.models.resnet import resnet18
 from repro.pruning.mask import magnitude_mask
-from repro.serve import (
-    EngineConfig,
-    FleetConfig,
-    FleetSaturatedError,
-    FleetSupervisor,
-    FleetUnavailableError,
-    HTTPClient,
-    RetryPolicy,
-    ServingEngine,
-    ServingError,
-    WorkerError,
-    create_server,
-    export_artifact,
-)
-from repro.serve.errors import RETRY_AFTER_S
+from repro.serve.artifact import export_artifact
+from repro.serve.client import HTTPClient, RetryPolicy
+from repro.serve.engine import EngineConfig, ServingEngine
+from repro.serve.errors import RETRY_AFTER_S, ServingError
 from repro.serve.fleet import chaos as chaos_mod
 from repro.serve.fleet.protocol import (
     ConnectionClosed,
@@ -55,6 +44,14 @@ from repro.serve.fleet.protocol import (
     recv_message,
     send_message,
 )
+from repro.serve.fleet.supervisor import (
+    FleetConfig,
+    FleetSaturatedError,
+    FleetSupervisor,
+    FleetUnavailableError,
+    WorkerError,
+)
+from repro.serve.http import create_server
 from repro.utils.seeding import seeded_rng
 
 #: Coalescing changes the GEMM batch shape, so concurrent results may

@@ -5,21 +5,16 @@ import pytest
 
 from repro.data.dataset import ArrayDataset
 from repro.data.synthetic import GeneratorConfig, SyntheticImageGenerator
-from repro.metrics import (
-    RandomFeatureEmbedder,
+from repro.metrics.classification import (
     accuracy,
-    confusion_matrix,
     expected_calibration_error,
-    fid_between_datasets,
-    frechet_distance,
-    max_softmax_score,
-    mean_iou,
     negative_log_likelihood,
-    ood_roc_auc,
-    roc_auc,
     softmax_probabilities,
     top_k_accuracy,
 )
+from repro.metrics.fid import RandomFeatureEmbedder, fid_between_datasets, frechet_distance
+from repro.metrics.ood import max_softmax_score, ood_roc_auc, roc_auc
+from repro.metrics.segmentation import confusion_matrix, mean_iou
 
 
 class TestClassificationMetrics:

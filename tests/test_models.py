@@ -3,19 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.models import (
-    ClassifierHead,
-    FCNSegmentationHead,
-    LinearProbe,
-    ResNetConfig,
-    SegmentationModel,
-    available_models,
-    build_model,
-    register_model,
-    resnet18,
-    resnet50,
-)
-from repro.models.resnet import BasicBlock, Bottleneck, ResNet
+from repro.models.heads import ClassifierHead, FCNSegmentationHead, LinearProbe, SegmentationModel
+from repro.models.registry import available_models, build_model, register_model
+from repro.models.resnet import BasicBlock, Bottleneck, ResNet, ResNetConfig, resnet18, resnet50
 from repro.tensor import Tensor
 from repro.utils.seeding import seeded_rng
 

@@ -26,15 +26,12 @@ from repro.obs.registry import (
     percentiles_from_buckets,
 )
 from repro.pruning.mask import magnitude_mask
-from repro.serve import (
-    EngineConfig,
-    HTTPClient,
-    ModelStore,
-    RetryPolicy,
-    ServingError,
-    create_server,
-    export_artifact,
-)
+from repro.serve.artifact import export_artifact
+from repro.serve.client import HTTPClient, RetryPolicy
+from repro.serve.engine import EngineConfig
+from repro.serve.errors import ServingError
+from repro.serve.http import create_server
+from repro.serve.store import ModelStore
 from repro.utils.seeding import seeded_rng
 
 

@@ -7,17 +7,17 @@ from repro.attacks.pgd import PGDConfig
 from repro.models.heads import ClassifierHead
 from repro.models.resnet import resnet18
 from repro.nn.layers import Conv2d, Linear
-from repro.pruning import (
-    IMPConfig,
+from repro.pruning.imp import IMPConfig, iterative_magnitude_prune
+from repro.pruning.lmp import (
     LMPConfig,
     MaskedConv2d,
     MaskedLinear,
+    _topk_binary,
     attach_learnable_masks,
     extract_learned_mask,
-    iterative_magnitude_prune,
     learn_mask,
+    straight_through_topk,
 )
-from repro.pruning.lmp import _topk_binary, straight_through_topk
 from repro.tensor import Tensor
 from repro.training.trainer import TrainerConfig
 from repro.utils.seeding import seeded_rng

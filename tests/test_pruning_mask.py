@@ -5,17 +5,10 @@ import pytest
 
 from repro.models.heads import ClassifierHead
 from repro.models.resnet import resnet18, resnet50
-from repro.pruning import (
-    GRANULARITIES,
-    PruningMask,
-    expand_group_mask,
-    geometric_sparsity_schedule,
-    group_reduce_scores,
-    linear_sparsity_schedule,
-    magnitude_mask,
-    one_shot_magnitude_prune,
-    prunable_parameter_names,
-)
+from repro.pruning.granularity import GRANULARITIES, expand_group_mask, group_reduce_scores
+from repro.pruning.mask import PruningMask, magnitude_mask, prunable_parameter_names
+from repro.pruning.omp import one_shot_magnitude_prune
+from repro.pruning.schedules import geometric_sparsity_schedule, linear_sparsity_schedule
 
 
 class TestPrunableParameterNames:

@@ -8,11 +8,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis import SanitizeError, is_sanitize_active, sanitize_scope, set_sanitize
 from repro.models.heads import ClassifierHead
 from repro.models.resnet import resnet18
 from repro.tensor import Tensor
 from repro.tensor import sanitize as sanitize_impl
+from repro.tensor.sanitize import SanitizeError, is_sanitize_active, sanitize_scope, set_sanitize
 from repro.utils.seeding import seeded_rng
 
 

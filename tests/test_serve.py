@@ -34,25 +34,17 @@ import pytest
 from repro.core.tickets import Ticket
 from repro.models.heads import ClassifierHead
 from repro.models.resnet import resnet18
-from repro.pruning.mask import magnitude_mask
 from repro.obs.registry import default_registry
-from repro.serve import (
-    BatchingConfig,
-    EngineConfig,
-    FleetConfig,
-    FleetSupervisor,
-    HTTPClient,
-    MicroBatcher,
-    ModelStore,
-    QueueFullError,
-    RetryPolicy,
-    ServingEngine,
-    ServingError,
-    create_server,
-    export_artifact,
-    load_artifact,
-)
+from repro.pruning.mask import magnitude_mask
+from repro.serve.artifact import export_artifact, load_artifact
+from repro.serve.batching import BatchingConfig, MicroBatcher, QueueFullError
+from repro.serve.client import HTTPClient, RetryPolicy
+from repro.serve.engine import EngineConfig, ServingEngine
+from repro.serve.errors import ServingError
 from repro.serve.fleet.protocol import ARRAY_CONTENT_TYPE, encode_array, pack_frame
+from repro.serve.fleet.supervisor import FleetConfig, FleetSupervisor
+from repro.serve.http import create_server
+from repro.serve.store import ModelStore
 from repro.tensor import dtypes
 from repro.training.evaluation import predict_logits
 from repro.utils.seeding import seeded_rng
@@ -339,7 +331,7 @@ class TestMicroBatcher:
         script = (
             "import json\n"
             "import numpy as np\n"
-            "from repro.serve import BatchingConfig, MicroBatcher\n"
+            "from repro.serve.batching import BatchingConfig, MicroBatcher\n"
             "with MicroBatcher(lambda batch: batch, BatchingConfig(max_wait_ms=0.0)) as batcher:\n"
             "    batcher.submit(np.ones((2, 2)))\n"
             "    print(json.dumps(batcher.stats()))\n"
@@ -493,23 +485,28 @@ class TestServingEngine:
             engine.predict(np.zeros((1, 3, 16, 16)))
 
     def test_sanitize_flag_surfaces_numeric_faults_to_the_caller(self, sealed, images):
-        from repro.tensor.sanitize import SanitizeError
+        from repro.tensor.sanitize import SanitizeError, is_sanitize_active, set_sanitize
 
-        with ServingEngine(
-            sealed[0], EngineConfig(max_wait_ms=0.0, sanitize=True)
-        ) as engine:
-            # Clean traffic serves normally with checks on.
-            assert engine.predict(images).shape == (len(images), 5)
-            # Poison a deep weight: the sanitizer error is raised on the
-            # scheduler thread and delivered to the waiting caller, and
-            # the message names the culprit layer.
-            layer = engine.model.backbone.layer2[0].conv1
-            layer.weight.data[0, 0, 0, 0] = np.nan
-            with pytest.raises(SanitizeError, match=r"backbone\.layer2"):
-                engine.predict(images)
-            # The scheduler survives and keeps serving after the fault.
-            layer.weight.data[0, 0, 0, 0] = 0.0
-            assert engine.predict(images).shape == (len(images), 5)
+        # The process-wide switch (what REPRO_SANITIZE=1 sets) reaches
+        # the scheduler thread, which sets no override of its own.
+        previous = is_sanitize_active()
+        set_sanitize(True)
+        try:
+            with ServingEngine(sealed[0], EngineConfig(max_wait_ms=0.0)) as engine:
+                # Clean traffic serves normally with checks on.
+                assert engine.predict(images).shape == (len(images), 5)
+                # Poison a deep weight: the sanitizer error is raised on the
+                # scheduler thread and delivered to the waiting caller, and
+                # the message names the culprit layer.
+                layer = engine.model.backbone.layer2[0].conv1
+                layer.weight.data[0, 0, 0, 0] = np.nan
+                with pytest.raises(SanitizeError, match=r"backbone\.layer2"):
+                    engine.predict(images)
+                # The scheduler survives and keeps serving after the fault.
+                layer.weight.data[0, 0, 0, 0] = 0.0
+                assert engine.predict(images).shape == (len(images), 5)
+        finally:
+            set_sanitize(previous)
 
 
 class TestModelStore:
@@ -826,6 +823,32 @@ class TestServeHTTP:
         assert info.value.status == 404
 
 
+
+@pytest.mark.parametrize("name", ["ticket v1", "a/b"])
+def test_admin_verbs_encode_the_model_name(sealed, name):
+    # ``--artifact NAME=PATH`` registers any name; the admin routes carry
+    # it as one path segment, which the server unquotes.
+    store = ModelStore(capacity=1, config=EngineConfig(max_wait_ms=0.5))
+    store.register(name, sealed[0])
+    server = create_server(store, name, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        with HTTPClient(
+            f"http://{host}:{port}", timeout=60.0, retry=RetryPolicy(attempts=1)
+        ) as client:
+            assert client.load(name)["ok"] is True
+            assert client.healthz()["loaded"] == [name]
+            assert client.set_rate_limit(name, rate_per_s=5.0)["model"] == name
+            assert client.set_rate_limit(name, rate_per_s=None)["limit"] is None
+            assert client.evict(name)["ok"] is True
+            assert client.healthz()["loaded"] == []
+    finally:
+        server.shutdown()
+        server.server_close()
+        store.close()
+
 class TestExportBest:
     @pytest.fixture(scope="class")
     def unit_context(self):
@@ -863,8 +886,8 @@ class TestExportBest:
         return ExperimentContext(scale)
 
     def test_best_point_prefers_highest_score_across_arms(self):
+        from repro.experiments.export import best_point
         from repro.experiments.results import ResultTable
-        from repro.serve.export import best_point
 
         table = ResultTable(
             "t",
@@ -881,8 +904,8 @@ class TestExportBest:
         assert prior == "natural"
 
     def test_export_best_seals_a_servable_winner(self, tmp_path, unit_context):
+        from repro.experiments.export import export_best
         from repro.experiments.results import ResultTable
-        from repro.serve.export import export_best
 
         table = ResultTable(
             "fig2-like",
@@ -905,8 +928,8 @@ class TestExportBest:
         assert logits.shape == (2, artifact.num_classes)
 
     def test_export_best_rejects_tables_without_grid_columns(self, tmp_path, unit_context):
+        from repro.experiments.export import export_best
         from repro.experiments.results import ResultTable
-        from repro.serve.export import export_best
 
         table = ResultTable("bad", [dict(scheme="imp", robust_accuracy=0.5)])
         with pytest.raises(ValueError, match="export-model"):

@@ -15,8 +15,8 @@ import pytest
 from repro.attacks.pgd import PGDConfig, input_only_backward, pgd_attack
 from repro.models.heads import ClassifierHead
 from repro.models.resnet import resnet18
-from repro.nn import Conv2d, Module, Parameter
-from repro.pruning import PruningMask
+from repro.nn import BatchNorm2d, Conv2d, Module, Parameter
+from repro.pruning.mask import PruningMask
 from repro.tensor import Tensor, default_dtype, no_grad, is_grad_enabled, as_tensor, cross_entropy
 
 from tests.helpers import check_gradient
@@ -295,32 +295,51 @@ class TestTape:
         np.testing.assert_array_equal(model.a.grad, [1.0, 0.0, 1.0, 0.0])
         np.testing.assert_array_equal(model.b.grad, np.ones(4))
 
+    #: Each layer whose closure keeps an activation-sized array only for
+    #: its weight gradient: how to build it for 2x3x6x6 inputs, that
+    #: array's shape, and the error a frozen-then-thawed weight raises.
+    WEIGHT_GRADIENT_INPUTS = {
+        "conv2d": (
+            lambda rng: Conv2d(3, 4, 3, padding=1, rng=rng),
+            (3 * 3 * 3, 2 * 6 * 6),  # im2col columns: (C_in * kh * kw, N * out_h * out_w)
+            "columns were not kept",
+        ),
+        "eval_batch_norm2d": (
+            lambda rng: BatchNorm2d(3).eval(),
+            (2, 3, 6, 6),  # the normalised input
+            "normalised input was not kept",
+        ),
+    }
+
     @staticmethod
-    def _columns_kept(out) -> bool:
-        """Whether the closure of ``out``, a 3x3 conv of 2x3x6x6 inputs, holds its im2col columns."""
-        columns_shape = (3 * 3 * 3, 2 * 6 * 6)  # (C_in * kh * kw, N * out_h * out_w)
+    def _keeps(out, shape) -> bool:
+        """Whether the closure of ``out`` holds an array of ``shape``."""
         return any(
-            isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.shape == columns_shape
+            isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.shape == shape
             for cell in out._backward_fn.__closure__
         )
 
-    def test_attack_graph_keeps_no_conv_columns(self, rng):
-        conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+    @pytest.mark.parametrize("layer", sorted(WEIGHT_GRADIENT_INPUTS))
+    def test_attack_graph_keeps_no_conv_columns(self, rng, layer):
+        build, kept_shape, _ = self.WEIGHT_GRADIENT_INPUTS[layer]
+        module = build(rng)
         inputs = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
-        assert self._columns_kept(conv(inputs))
-        with input_only_backward(conv):
-            out = conv(inputs)
-            assert not self._columns_kept(out)
+        assert self._keeps(module(inputs), kept_shape)
+        with input_only_backward(module):
+            out = module(inputs)
+            assert not self._keeps(out, kept_shape)
             out.sum().backward()
-        assert inputs.grad is not None and conv.weight.grad is None
+        assert inputs.grad is not None and module.weight.grad is None
 
-    def test_weight_frozen_at_record_time_raises_instead_of_a_wrong_gradient(self, rng):
-        conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+    @pytest.mark.parametrize("layer", sorted(WEIGHT_GRADIENT_INPUTS))
+    def test_weight_frozen_at_record_time_raises_instead_of_a_wrong_gradient(self, rng, layer):
+        build, _, message = self.WEIGHT_GRADIENT_INPUTS[layer]
+        module = build(rng)
         inputs = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
-        with input_only_backward(conv):
-            out = conv(inputs)
-        assert conv.weight.requires_grad
-        with pytest.raises(RuntimeError, match="columns were not kept"):
+        with input_only_backward(module):
+            out = module(inputs)
+        assert module.weight.requires_grad
+        with pytest.raises(RuntimeError, match=message):
             out.sum().backward()
 
 

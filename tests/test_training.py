@@ -8,18 +8,16 @@ from repro.data.dataset import ArrayDataset
 from repro.models.heads import ClassifierHead
 from repro.models.resnet import resnet18
 from repro.pruning.mask import PruningMask, magnitude_mask
-from repro.training import (
-    AdversarialTrainer,
-    GaussianAugmentTrainer,
-    PRETRAIN_SCHEMES,
-    Trainer,
-    TrainerConfig,
+from repro.training.adversarial import AdversarialTrainer
+from repro.training.evaluation import (
     evaluate_accuracy,
     evaluate_adversarial_accuracy,
     evaluate_corruption_accuracy,
     predict_logits,
-    pretrain_backbone,
 )
+from repro.training.pretrain import PRETRAIN_SCHEMES, pretrain_backbone
+from repro.training.smoothing import GaussianAugmentTrainer
+from repro.training.trainer import Trainer, TrainerConfig
 
 
 def build_small_classifier(num_classes: int, seed: int = 0) -> ClassifierHead:

@@ -14,15 +14,16 @@ from repro.experiments import cli as experiments_cli
 from repro.experiments.config import get_scale
 from repro.experiments.results import ResultTable
 from repro.models.resnet import resnet18
-from repro.utils import (
-    MetricLogger,
+from repro.utils.checkpoint import (
     load_state_dict,
+    read_json,
+    save_bundle,
     save_state_dict,
-    seed_everything,
-    seeded_rng,
-    spawn_rngs,
+    write_file,
+    write_json,
 )
-from repro.utils.checkpoint import read_json, save_bundle, write_file, write_json
+from repro.utils.logging import MetricLogger
+from repro.utils.seeding import seed_everything, seeded_rng, spawn_rngs
 
 
 class TestSeeding:
